@@ -162,8 +162,8 @@ def main():
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Every table from the paper's evaluation (§7), reproduced on the synthetic
-analogues of DESIGN.md §2 (≈1/1000 scale, 16-core `local[*]` Spark, simulated
-q-node cluster). **Absolute numbers are not comparable** — the paper ran C++
+analogues of DESIGN.md §2 (≈1/1000 scale, `local[*]` Spark on a 4-core machine
+(`nproc` = 4), simulated q-node cluster). **Absolute numbers are not comparable** — the paper ran C++
 /OpenMP/MPI on 36-core and 512-core systems against 10⁷–10⁸-edge graphs; we run
 Python kernels inside Spark tasks on 10³–10⁴-edge graphs — so each section
 compares the *shape*: which algorithm wins, by what factor, and where the

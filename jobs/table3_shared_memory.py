@@ -23,7 +23,7 @@ from repro.graphs.ranking import rank_for
 
 #: Scaled stand-in for the paper's 2 h budget (data is ~1000× smaller).
 DEADLINE_S = 120.0
-P_THREADS = 16  # paper: 36 cores / 72 threads; we have 16 cores
+P_THREADS = 16  # paper: 36 cores / 72 threads; 16 here, whatever nproc is
 
 
 def _warmup(spark):

@@ -8,27 +8,30 @@ boundary the superstep's labels are broadcast, every node answers the
 cleaning queries it can (bitvector), the bitvectors are all-reduced, and
 owners drop the redundant labels. The final labeling is the CHL; the
 cost is the metered label broadcast traffic that limits DGLL's scaling.
+
+``run_windows`` here is the one windowed driver behind DGLL, distributed
+PLaNT and Hybrid: the three differ only in the Ψ threshold at which the
+driver switches a window from PLaNT to DGLL (paper §5.2.1).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.labels import CommonLabelTable, LabelStore
-from repro.dist.cluster import SimCluster
+from repro.core.labels import LabelStore
 from repro.dist.engine import (
-    NodeState,
-    OOMError,
-    apply_fn,
+    apply_updates,
+    check_budget,
     clean_fn,
     cluster_stats,
     collect_store,
     construct_fn,
-    make_ctx,
-    superstep_sizes,
+    node_cluster,
+    out_of_time,
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ranking import roots_by_rank
@@ -42,89 +45,91 @@ class DistResult:
     stats: dict
 
 
-def run_label_phase(
-    cluster: SimCluster,
-    get,
+def run_windows(
+    spark: SparkSession | None,
+    g: CSRGraph,
     rank: np.ndarray,
-    *,
     q: int,
-    windows,  # [(pos, x)] rank windows to process
-    engine: str,  # 'dgll' | 'plant'
-    clean: bool,  # DGLL cleans; PLaNT's labels are born canonical
-    eta: int = 0,
-    top_hubs: list[int] | None = None,
-    budget_bytes: int | None = None,
-    deadline_s: float | None = None,
-    t_start: float | None = None,
-    psi_th: float | None = None,
-) -> dict:
-    """Run construct(+clean+apply) supersteps over the given rank windows.
+    *,
+    psi_th: float,
+    x1: int,
+    beta: float,
+    eta: int,
+    budget_bytes: int | None,
+    deadline_s: float | None,
+    collect: bool,
+) -> DistResult:
+    """Label all roots over β-growing rank windows, one engine per window.
 
-    Shared by DGLL (engine='dgll', clean=True), distributed PLaNT
-    (engine='plant', clean=False) and both phases of Hybrid. Returns
-    phase stats incl. per-window Ψ and ``next_pos`` — where processing
-    stopped (n, or the Hybrid switch point when Ψ exceeds ``psi_th``).
+    A window runs PLaNT while the previous PLaNT window's Ψ (vertices
+    explored per label) is ≤ ``psi_th``; Ψ before position 0 counts as 0.
+    After the first window over it, the rest runs DGLL with cleaning and
+    window growth restarts at ``x1``. So Ψ_th = −∞ is DGLL, +∞ is PLaNT
+    and a finite value is Hybrid. A finite Ψ_th also caps PLaNT windows
+    at n/8, so the switch gets enough checkpoints before the tail is gone.
+    The η top-ranked hubs' labels are replicated as the Common Label
+    Table (§5.3); a node over ``budget_bytes`` raises OOMError.
     """
-    t_start = t_start or time.perf_counter()
-    emit = "all" if clean else ("top" if eta > 0 else "none")
-    needs_labels_centrally = emit != "none"
-    build = construct_fn(
-        get, engine, emit=emit, top_hubs=frozenset(top_hubs or ())
-    )
-    cleaner = clean_fn(get)
-    applier = apply_fn(get, budget_bytes)
-    psi_per_window = []
-    timed_out = False
-    next_pos = windows[0][0] if windows else 0
-    switched = False
-    for pos, x in windows:
-        if deadline_s is not None and time.perf_counter() - t_start > deadline_s:
-            timed_out = True
-            break
-        outs = cluster.superstep(
-            build, {"pos": pos, "x": x, "q": q}, broadcast_payload=False
-        )
-        all_new = [t for o in outs.values() for t in o["new"]]
-        if needs_labels_centrally:
-            cluster.gather(outs)  # labels leave their nodes: metered
-        if engine == "plant":
-            explored_window = sum(o["explored_window"] for o in outs.values())
-            n_new = sum(o["n_labels"] for o in outs.values())
-            psi_per_window.append((pos, x, explored_window / max(1, n_new)))
-        doomed: set = set()
-        if clean and all_new:
-            bits = cluster.superstep(cleaner, all_new)  # label broadcast (metered)
-            doomed = cluster.allreduce_or(bits)
-        # Common-table updates: surviving labels of the top-η hubs are
-        # replicated everywhere (paper §5.3) — metered via the payload.
-        common_updates = []
-        if eta > 0 and top_hubs:
-            top = set(top_hubs)
+    t0 = time.perf_counter()
+    n = g.n
+    top_hubs = [int(r) for r in roots_by_rank(rank)[:eta]]
+    top = frozenset(top_hubs)
+    cap = max(x1, n // 8) if math.isfinite(psi_th) else n
+    with node_cluster(spark, g, rank, q, top_hubs) as (cluster, get):
+        build = {e: construct_fn(get, e, top) for e in ("plant", "dgll")}
+        cleaner = clean_fn(get)
+        plant = psi_th >= 0.0  # Ψ before position 0 counts as 0
+        switch_pos = None if plant else 0
+        psi_per_window = []
+        pos, x, windows, timed_out = 0, x1, 0, False
+        while pos < n:
+            if out_of_time(t0, deadline_s):
+                timed_out = True
+                break
+            w = min(int(x), n - pos, cap if plant else n)
+            outs = cluster.superstep(
+                build["plant" if plant else "dgll"],
+                {"pos": pos, "x": w, "q": q},
+                broadcast_payload=False,
+            )
+            new = [t for o in outs.values() for t in o["new"]]
+            if top_hubs or not plant:
+                cluster.gather(outs)  # labels leave their nodes: metered
+            doomed: set = set()
+            if plant:
+                explored = sum(o["explored_window"] for o in outs.values())
+                n_new = sum(o["n_labels"] for o in outs.values())
+                psi_per_window.append((pos, w, explored / max(1, n_new)))
+            elif new:  # DGLL cleaning: label broadcast + bitvector all-reduce
+                doomed = cluster.allreduce_or(cluster.superstep(cleaner, new))
+            # Common-table updates: surviving labels of the top-η hubs are
+            # replicated everywhere (paper §5.3) — metered via the payload.
             by_hub: dict[int, list] = {}
-            for v, h, d in all_new:
+            for v, h, d in new:
                 if h in top and (v, h) not in doomed:
                     by_hub.setdefault(h, []).append((v, d))
             common_updates = sorted(by_hub.items())
-        if doomed or common_updates or budget_bytes is not None:
-            oom = cluster.superstep(
-                applier, {"doomed": doomed, "common_updates": common_updates}
-            )
-            bad = [i for i, o in oom.items() if o["oom"]]
-            if bad:
-                raise OOMError(
-                    f"node(s) {bad} exceeded {budget_bytes} bytes "
-                    f"(max shard {max(o['mem'] for o in oom.values())} bytes)"
+            if doomed or common_updates or budget_bytes is not None:
+                mems = cluster.superstep(
+                    apply_updates, {"doomed": doomed, "common_updates": common_updates}
                 )
-        next_pos = pos + x
-        if psi_th is not None and psi_per_window and psi_per_window[-1][2] > psi_th:
-            switched = True
-            break
-    return {
-        "psi_per_window": psi_per_window,
-        "timed_out": timed_out,
-        "next_pos": next_pos,
-        "switched": switched,
-    }
+                check_budget(mems, budget_bytes)
+            pos, x, windows = pos + w, x * beta, windows + 1
+            if plant and psi_per_window[-1][2] > psi_th:
+                plant, x, switch_pos = False, x1, pos
+        stats = cluster_stats(cluster)
+        stats.update(
+            psi_per_window=psi_per_window,
+            timed_out=timed_out,
+            next_pos=pos,
+            switch_pos=pos if switch_pos is None else switch_pos,
+            switched=bool(switch_pos),
+            supersteps=windows,
+            time_s=time.perf_counter() - t0,
+        )
+        store = collect_store(cluster, n, rank) if collect else None
+        stats["als"] = store.als() if store is not None else stats["labels_total"] / n
+        return DistResult(store, stats)
 
 
 def dgll(
@@ -142,41 +147,7 @@ def dgll(
 ) -> DistResult:
     """Full DGLL run over all roots. ``eta>0`` adds the Common Label Table
     (that variant is what Hybrid's second phase uses)."""
-    t0 = time.perf_counter()
-    get, free = make_ctx(spark, g, rank)
-    top_hubs = [int(r) for r in roots_by_rank(rank)[:eta]] if eta else None
-
-    def init_fn(i):
-        common = CommonLabelTable(g.n, np.array(top_hubs)) if eta else None
-        return NodeState(store=LabelStore(g.n), common=common)
-
-    cluster = SimCluster(spark, q, init_fn)
-    try:
-        windows = superstep_sizes(g.n, x1 or max(16, q, eta), beta)
-        phase = run_label_phase(
-            cluster,
-            get,
-            rank,
-            q=q,
-            windows=windows,
-            engine="dgll",
-            clean=True,
-            eta=eta,
-            top_hubs=top_hubs,
-            budget_bytes=budget_bytes,
-            deadline_s=deadline_s,
-            t_start=t0,
-        )
-        stats = cluster_stats(cluster)
-        stats.update(phase)
-        stats["time_s"] = time.perf_counter() - t0
-        stats["supersteps"] = len(windows)
-        store = collect_store(cluster, g.n, rank) if collect else None
-        if store is not None:
-            stats["als"] = store.als()
-        else:
-            stats["als"] = stats["labels_total"] / g.n
-        return DistResult(store, stats)
-    finally:
-        cluster.free()
-        free()
+    return run_windows(
+        spark, g, rank, q, psi_th=-math.inf, x1=x1 or max(16, q, eta), beta=beta,
+        eta=eta, budget_bytes=budget_bytes, deadline_s=deadline_s, collect=collect,
+    )

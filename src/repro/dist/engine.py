@@ -15,7 +15,8 @@ superstep payload.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -24,6 +25,7 @@ from repro.core.dijkstra import prune_dij_rq
 from repro.core.labels import CommonLabelTable, LabelStore
 from repro.core.parallel import dq_clean
 from repro.core.plant import plant_dijkstra
+from repro.dist.cluster import SimCluster
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ranking import roots_by_rank
 
@@ -38,10 +40,8 @@ class NodeState:
 
     store: LabelStore
     common: CommonLabelTable | None = None
-    local: list = field(default_factory=list)  # (gidx, v, hub, dist) this superstep
     work_s: float = 0.0  # accumulated tree-construction compute
     explored: int = 0  # Dijkstra settles (Ψ numerator)
-    labels_built: int = 0
 
     def mem_bytes(self) -> int:
         c = self.common.bytes() if self.common is not None else 0
@@ -67,7 +67,7 @@ def my_roots(order: np.ndarray, pos: int, x: int, q: int, node_id: int):
 # --------------------------------------------------------------------- #
 # Superstep functions (run on nodes).
 # --------------------------------------------------------------------- #
-def construct_fn(get, engine: str, emit: str = "all", top_hubs: frozenset | None = None):
+def construct_fn(get, engine: str, top_hubs: frozenset = frozenset()):
     """Build this node's trees for the superstep's rank window.
 
     engine='dgll': pruned Dijkstra with rank queries against the node's
@@ -95,17 +95,14 @@ def construct_fn(get, engine: str, emit: str = "all", top_hubs: frozenset | None
             new.extend((v, root, d) for v, d in labels)
         st.explored += explored_window
         st.work_s += time.perf_counter() - t0
-        st.labels_built += len(new)
-        st.local = new
-        # emit='all': cleaning round needs every new label centrally.
-        # emit='top': only Common-Label-Table hubs leave the node (§5.3).
-        # emit='none': pure PLaNT — labels never leave the generating node.
-        if emit == "all":
+        # DGLL: the cleaning round needs every new label centrally.
+        # PLaNT: only Common-Label-Table hubs leave the node (§5.3), so
+        # with no table labels never leave the generating node.
+        if engine == "dgll":
             shipped = new
-        elif emit == "top":
-            shipped = [(v, h, d) for v, h, d in new if h in top_hubs]
         else:
-            shipped = []
+            shipped = [(v, h, d) for v, h, d in new if h in top_hubs]
+        # This whole dict is the gathered (metered) payload, counters included.
         return st, {
             "new": shipped,
             "n_labels": len(new),
@@ -138,53 +135,52 @@ def clean_fn(get):
     return fn
 
 
-def apply_fn(get, budget_bytes: int | None):
-    """Drop redundant labels from the owner shard; install common updates."""
-
-    def fn(node_id, st: NodeState, payload):
-        g, rank, order = get()
-        doomed = payload["doomed"]  # global (v, hub) set; shards only hold
-        if doomed:  # their own hubs, so foreign pairs are no-ops
-            st.store.delete(doomed)
-        st.local = []
-        if st.common is not None:
-            for hub, labels in payload["common_updates"]:
-                st.common.add_hub_labels(hub, labels)
-        mem = st.mem_bytes()
-        return st, {"mem": mem, "oom": budget_bytes is not None and mem > budget_bytes}
-
-    return fn
-
-
-def install_common_fn(get):
-    """Install broadcast top-η hub label sets into every node's common table."""
-
-    def fn(node_id, st: NodeState, payload):
-        for hub, labels in payload:
+def apply_updates(node_id, st: NodeState, payload):
+    """Drop redundant labels from the owner shard; install common updates.
+    Returns the node's memory after the update, for the budget check."""
+    doomed = payload["doomed"]  # global (v, hub) set; shards only hold
+    if doomed:  # their own hubs, so foreign pairs are no-ops
+        st.store.delete(doomed)
+    if st.common is not None:
+        for hub, labels in payload["common_updates"]:
             st.common.add_hub_labels(hub, labels)
-        return st, None
-
-    return fn
+    return st, st.mem_bytes()
 
 
 # --------------------------------------------------------------------- #
 # Driver-side helpers.
 # --------------------------------------------------------------------- #
-def superstep_sizes(n: int, x1: int, beta: float, cap: int | None = None):
-    """β-growing rank windows covering [0, n) (paper §5.1 optimisation 2).
+@contextmanager
+def node_cluster(spark: SparkSession | None, g: CSRGraph, rank: np.ndarray, q: int, top_hubs=()):
+    """One run's ``(cluster, get)``: q nodes with empty shards (+ a Common
+    Label Table over ``top_hubs``) and the broadcast context, both freed
+    on exit."""
+    get, free = make_ctx(spark, g, rank)
 
-    ``cap`` bounds the window width — the Hybrid's PLaNT phase uses it so
-    the Ψ switch check gets enough checkpoints before the tail is gone.
-    """
-    out, pos, x = [], 0, max(1, x1)
-    while pos < n:
-        w = min(int(x), n - pos)
-        if cap is not None:
-            w = min(w, cap)
-        out.append((pos, w))
-        pos += w
-        x *= beta
-    return out
+    def init_fn(i):
+        common = CommonLabelTable(g.n, np.array(top_hubs)) if top_hubs else None
+        return NodeState(store=LabelStore(g.n), common=common)
+
+    cluster = SimCluster(spark, q, init_fn)
+    try:
+        yield cluster, get
+    finally:
+        cluster.free()
+        free()
+
+
+def out_of_time(t0: float, deadline_s: float | None) -> bool:
+    return deadline_s is not None and time.perf_counter() - t0 > deadline_s
+
+
+def check_budget(mems: dict, budget_bytes: int | None) -> None:
+    """Raise OOMError if a node's memory (``{node: bytes}``) is over budget."""
+    bad = [i for i, m in mems.items() if budget_bytes is not None and m > budget_bytes]
+    if bad:
+        raise OOMError(
+            f"node(s) {bad} exceeded {budget_bytes} bytes "
+            f"(max {max(mems.values())} bytes)"
+        )
 
 
 def collect_store(cluster, n: int, rank: np.ndarray) -> LabelStore:

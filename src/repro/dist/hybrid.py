@@ -10,23 +10,12 @@ the output is the CHL with only O(tail) label traffic.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.labels import CommonLabelTable, LabelStore
-from repro.dist.cluster import SimCluster
-from repro.dist.dgll import DistResult, run_label_phase
-from repro.dist.engine import (
-    NodeState,
-    cluster_stats,
-    collect_store,
-    make_ctx,
-    superstep_sizes,
-)
+# collect_store is re-exported so perfbench's tracer can wrap it here too.
+from repro.dist.dgll import DistResult, collect_store, run_windows  # noqa: F401
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ranking import roots_by_rank
 
 
 def hybrid(
@@ -47,69 +36,8 @@ def hybrid(
     Defaults follow the paper (§7.1): η=16, β=8, Ψ_th=100 for scale-free
     graphs (callers pass 500 for road networks).
     """
-    t0 = time.perf_counter()
     eta = min(eta, g.n)
-    get, free = make_ctx(spark, g, rank)
-    top_hubs = [int(r) for r in roots_by_rank(rank)[:eta]]
-
-    def init_fn(i):
-        return NodeState(
-            store=LabelStore(g.n),
-            common=CommonLabelTable(g.n, np.array(top_hubs)),
-        )
-
-    cluster = SimCluster(spark, q, init_fn)
-    try:
-        x1 = max(16, q, eta)
-        # ---- Phase A: PLaNT with Ψ monitoring --------------------------- #
-        # Window cap ⇒ ≥ ~8 Ψ checkpoints, so the switch can fire before
-        # the low-yield tail has already been PLaNTed.
-        phase_a = run_label_phase(
-            cluster,
-            get,
-            rank,
-            q=q,
-            windows=superstep_sizes(g.n, x1, beta, cap=max(x1, g.n // 8)),
-            engine="plant",
-            clean=False,
-            eta=eta,
-            top_hubs=top_hubs,
-            deadline_s=deadline_s,
-            t_start=t0,
-            psi_th=psi_th,
-        )
-        switch_pos = phase_a["next_pos"]
-        # ---- Phase B: DGLL (+ common table) on the remaining tail ------- #
-        phase_b = {"psi_per_window": [], "timed_out": False}
-        if switch_pos < g.n and not phase_a["timed_out"]:
-            tail = [
-                (switch_pos + p, x)
-                for p, x in superstep_sizes(g.n - switch_pos, x1, beta)
-            ]
-            phase_b = run_label_phase(
-                cluster,
-                get,
-                rank,
-                q=q,
-                windows=tail,
-                engine="dgll",
-                clean=True,
-                eta=eta,
-                top_hubs=top_hubs,
-                budget_bytes=budget_bytes,
-                deadline_s=deadline_s,
-                t_start=t0,
-            )
-        stats = cluster_stats(cluster)
-        stats["switch_pos"] = switch_pos
-        stats["psi_per_window"] = phase_a["psi_per_window"]
-        stats["timed_out"] = phase_a["timed_out"] or phase_b["timed_out"]
-        stats["time_s"] = time.perf_counter() - t0
-        store = collect_store(cluster, g.n, rank) if collect else None
-        stats["als"] = (
-            store.als() if store is not None else stats["labels_total"] / g.n
-        )
-        return DistResult(store, stats)
-    finally:
-        cluster.free()
-        free()
+    return run_windows(
+        spark, g, rank, q, psi_th=psi_th, x1=max(16, q, eta), beta=beta,
+        eta=eta, budget_bytes=budget_bytes, deadline_s=deadline_s, collect=collect,
+    )

@@ -14,26 +14,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.dijkstra import prune_dij_rq
 from repro.core.labels import LabelStore
-from repro.dist.cluster import SimCluster
 from repro.dist.dgll import DistResult
-from repro.dist.engine import OOMError, make_ctx, my_roots
+from repro.dist.engine import NodeState, check_budget, my_roots, node_cluster, out_of_time
 from repro.graphs.csr import CSRGraph
-
-
-@dataclass
-class ReplicaState:
-    """A DparaPLL node: full label replica + this superstep's additions."""
-
-    replica: LabelStore
-    work_s: float = 0.0
-    labels_built: int = 0
 
 
 def dpara_pll(
@@ -47,68 +36,53 @@ def dpara_pll(
     deadline_s: float | None = None,
     collect: bool = True,
 ) -> DistResult:
-    """Run DparaPLL on ``q`` nodes; raises OOMError over ``budget_bytes``."""
+    """Run DparaPLL on ``q`` nodes; raises OOMError over ``budget_bytes``.
+
+    A node's ``store`` is its full label replica, not a shard.
+    """
     t0 = time.perf_counter()
     n = g.n
     if n_syncs is None:
         n_syncs = max(1, round(math.log(max(2, n)) / math.log(8)))
     step = max(1, math.ceil(n / n_syncs))  # equal supersteps, unlike DGLL
-    get, free = make_ctx(spark, g, rank)
+    with node_cluster(spark, g, rank, q) as (cluster, get):
 
-    def init_fn(i):
-        return ReplicaState(replica=LabelStore(n))
+        def build_fn(node_id, st: NodeState, payload):
+            gr, rk, order = get()
+            pos, x = payload["pos"], payload["x"]
+            new = []
+            t_in = time.perf_counter()
+            for gidx, root in my_roots(order, pos, x, q, node_id):
+                labels = prune_dij_rq(gr, rk, root, st.store, use_rank_queries=False)
+                st.store.commit([(v, root, d) for v, d in labels], rk)
+                new.extend((v, root, d) for v, d in labels)
+            st.work_s += time.perf_counter() - t_in
+            return st, new
 
-    def build_fn(node_id, st: ReplicaState, payload):
-        gr, rk, order = get()
-        pos, x = payload["pos"], payload["x"]
-        new = []
-        t_in = time.perf_counter()
-        for gidx, root in my_roots(order, pos, x, q, node_id):
-            labels = prune_dij_rq(
-                gr, rk, root, st.replica, use_rank_queries=False
-            )
-            st.replica.commit([(v, root, d) for v, d in labels], rk)
-            new.extend((v, root, d) for v, d in labels)
-        st.work_s += time.perf_counter() - t_in
-        st.labels_built += len(new)
-        return st, new
+        def merge_fn(node_id, st: NodeState, payload):
+            gr, rk, order = get()
+            for src, triplets in payload.items():
+                if src != node_id:
+                    st.store.commit(triplets, rk)
+            return st, st.mem_bytes()
 
-    def merge_fn(node_id, st: ReplicaState, payload):
-        gr, rk, order = get()
-        others = [t for src, t in payload.items() if src != node_id]
-        for triplets in others:
-            st.replica.commit(triplets, rk)
-        mem = st.replica.bytes()
-        return st, {
-            "mem": mem,
-            "oom": budget_bytes is not None and mem > budget_bytes,
-        }
-
-    cluster = SimCluster(spark, q, init_fn)
-    timed_out = False
-    try:
+        timed_out = False
         pos = 0
         while pos < n:
-            if deadline_s is not None and time.perf_counter() - t0 > deadline_s:
+            if out_of_time(t0, deadline_s):
                 timed_out = True
                 break
             outs = cluster.superstep(
                 build_fn, {"pos": pos, "x": step}, broadcast_payload=False
             )
             cluster.gather(outs)
-            mems = cluster.superstep(merge_fn, outs)  # full label exchange
-            bad = [i for i, o in mems.items() if o["oom"]]
-            if bad:
-                raise OOMError(
-                    f"DparaPLL replica exceeded {budget_bytes} bytes on "
-                    f"node(s) {bad} (max {max(o['mem'] for o in mems.values())})"
-                )
+            check_budget(cluster.superstep(merge_fn, outs), budget_bytes)  # full label exchange
             pos += step
         per_node = cluster.map_states(
             lambda i, st: {
                 "work_s": st.work_s,
-                "mem": st.replica.bytes(),
-                "labels": st.replica.num_labels(),
+                "mem": st.mem_bytes(),
+                "labels": st.store.num_labels(),
             }
         )
         stats = {
@@ -118,16 +92,13 @@ def dpara_pll(
             "comm": cluster.comm.as_dict(),
             "time_s": time.perf_counter() - t0,
             "timed_out": timed_out,
-            "supersteps": n_syncs,
+            "supersteps": pos // step,  # windows actually run
             "als": per_node[0]["labels"] / n,
         }
         store = None
         if collect:
             shards = cluster.map_states(
-                lambda i, st: st.replica.triplets() if i == 0 else None
+                lambda i, st: st.store.triplets() if i == 0 else None
             )
             store = LabelStore.from_triplets(n, shards[0], rank)
         return DistResult(store, stats)
-    finally:
-        cluster.free()
-        free()

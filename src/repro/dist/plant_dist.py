@@ -9,17 +9,14 @@ exploration measured by Ψ.
 """
 from __future__ import annotations
 
-import time
+import math
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.labels import CommonLabelTable, LabelStore
-from repro.dist.cluster import SimCluster
-from repro.dist.dgll import DistResult, run_label_phase
-from repro.dist.engine import NodeState, cluster_stats, collect_store, make_ctx, superstep_sizes
+# collect_store is re-exported so perfbench's tracer can wrap it here too.
+from repro.dist.dgll import DistResult, collect_store, run_windows  # noqa: F401
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ranking import roots_by_rank
 
 
 def plant_dist(
@@ -29,7 +26,6 @@ def plant_dist(
     q: int,
     *,
     eta: int = 0,
-    n_windows_hint: int | None = None,
     deadline_s: float | None = None,
     collect: bool = True,
 ) -> DistResult:
@@ -39,41 +35,7 @@ def plant_dist(
     prune later trees — the only communication such a run performs.
     Windows exist purely to timestamp Ψ; with eta=0 they cause no traffic.
     """
-    t0 = time.perf_counter()
-    get, free = make_ctx(spark, g, rank)
-    top_hubs = [int(r) for r in roots_by_rank(rank)[:eta]] if eta else None
-
-    def init_fn(i):
-        common = CommonLabelTable(g.n, np.array(top_hubs)) if eta else None
-        return NodeState(store=LabelStore(g.n), common=common)
-
-    cluster = SimCluster(spark, q, init_fn)
-    try:
-        # A few β-growing windows: Ψ per window for diagnostics, and the
-        # common-table install happens right after the top-η window.
-        x1 = max(16, q, eta)
-        windows = superstep_sizes(g.n, x1, 8.0)
-        phase = run_label_phase(
-            cluster,
-            get,
-            rank,
-            q=q,
-            windows=windows,
-            engine="plant",
-            clean=False,
-            eta=eta,
-            top_hubs=top_hubs,
-            deadline_s=deadline_s,
-            t_start=t0,
-        )
-        stats = cluster_stats(cluster)
-        stats.update(phase)
-        stats["time_s"] = time.perf_counter() - t0
-        store = collect_store(cluster, g.n, rank) if collect else None
-        stats["als"] = (
-            store.als() if store is not None else stats["labels_total"] / g.n
-        )
-        return DistResult(store, stats)
-    finally:
-        cluster.free()
-        free()
+    return run_windows(
+        spark, g, rank, q, psi_th=math.inf, x1=max(16, q, eta), beta=8.0,
+        eta=eta, budget_bytes=None, deadline_s=deadline_s, collect=collect,
+    )

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from repro.core.reference import brute_chl
+import repro.dist.dgll as dgll_mod
 from repro.dist.dgll import dgll
-from repro.dist.engine import OOMError, my_roots, superstep_sizes
+from repro.dist.engine import OOMError, my_roots
+from repro.dist.hybrid import hybrid
+from repro.dist.plant_dist import plant_dist
 from repro.graphs.ranking import roots_by_rank
 from tests.helpers import (
     CORE_DATASETS,
@@ -72,14 +75,22 @@ def test_oom_budget():
 def test_deadline():
     r = dgll(None, graph("POK"), rank_of("POK"), q=2, deadline_s=0.0)
     assert r.stats["timed_out"]
+    assert r.stats["supersteps"] == 0  # windows run, not windows planned
 
 
-def test_superstep_sizes_cover_and_grow():
-    w = superstep_sizes(1000, 16, 8.0)
-    assert sum(x for _, x in w) == 1000
-    assert w[0] == (0, 16)
-    widths = [x for _, x in w]
-    assert all(b >= a for a, b in zip(widths, widths[1:-1]))  # grows until tail
+def test_windows_cover_grow_and_cap():
+    """PLaNT windows (recorded with their Ψ) tile [0, n) from x1 = 16,
+    growing by β until the tail; a finite Ψ_th caps them at n/8."""
+    g, rank = graph("EAS"), rank_of("EAS")
+    grown = [x for _, x, _ in plant_dist(None, g, rank, q=4).stats["psi_per_window"]]
+    assert sum(grown) == g.n
+    assert grown[:2] == [16, 128]  # β = 8
+    assert all(b >= a for a, b in zip(grown, grown[1:-1]))  # grows until tail
+    psi = hybrid(None, g, rank, q=4, psi_th=1e9).stats["psi_per_window"]
+    starts, widths = [p for p, _, _ in psi], [x for _, x, _ in psi]
+    assert starts == [sum(widths[:i]) for i in range(len(widths))]
+    assert sum(widths) == g.n
+    assert widths[0] == 16 and max(widths) == g.n // 8
 
 
 def test_my_roots_circular_partition():
@@ -92,25 +103,28 @@ def test_my_roots_circular_partition():
     assert all(j % 4 == 2 for j, _ in my_roots(order, 0, 100, 4, 2))
 
 
-def test_label_partitioning_invariant():
-    """Every label in a node's shard has a hub owned by that node."""
-    from repro.dist.cluster import SimCluster
-    from repro.dist.engine import NodeState
-    from repro.core.labels import LabelStore
-    from repro.dist.dgll import run_label_phase
-    from repro.dist.engine import make_ctx
-
+def test_label_partitioning_invariant(monkeypatch):
+    """Every label in a node's shard has a hub owned by that node — under
+    DGLL, PLaNT with a common table, and a Hybrid that switches."""
     name, q = "SKIT", 3
     g, rank = graph(name), rank_of(name)
-    get, free = make_ctx(None, g, rank)
-    cluster = SimCluster(None, q, lambda i: NodeState(store=LabelStore(g.n)))
-    run_label_phase(
-        cluster, get, rank, q=q,
-        windows=superstep_sizes(g.n, 16, 8.0), engine="dgll", clean=True,
-    )
+    shards = {}
+
+    def spy(cluster, n, rank):  # the driver's last look at the live shards
+        shards.update(cluster.map_states(lambda i, st: st.store.triplets()))
+        return collect_store(cluster, n, rank)
+
+    collect_store = dgll_mod.collect_store
+    monkeypatch.setattr(dgll_mod, "collect_store", spy)
     order = roots_by_rank(rank)
     owner = {int(order[j]): j % q for j in range(g.n)}
-    shards = cluster.map_states(lambda i, st: st.store.triplets())
-    for node, triplets in shards.items():
-        assert all(owner[h] == node for _, h, _ in triplets)
-    free()
+    for run in (
+        lambda: dgll(None, g, rank, q=q),
+        lambda: plant_dist(None, g, rank, q=q, eta=8),
+        lambda: hybrid(None, g, rank, q=q, psi_th=2.0),
+    ):
+        shards.clear()
+        run()
+        assert sorted(shards) == list(range(q))
+        for node, triplets in shards.items():
+            assert all(owner[h] == node for _, h, _ in triplets)

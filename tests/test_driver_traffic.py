@@ -1,0 +1,67 @@
+"""Traffic invariant of the distributed drivers.
+
+Pins, per driver and setting, the number of SimCluster supersteps, the
+metered CommCounter bytes and Hybrid's switch position on one road and
+one scale-free graph. The values were recorded from the separate
+DGLL/PLaNT/Hybrid drivers that the single windowed driver replaced; a
+change here means the drivers now run or ship something else.
+"""
+import pytest
+
+from repro.dist.cluster import SimCluster
+from repro.dist.dgll import dgll
+from repro.dist.hybrid import hybrid
+from repro.dist.parapll_dist import dpara_pll
+from repro.dist.plant_dist import plant_dist
+from tests.helpers import graph, rank_of
+
+RUNS = {
+    "dgll": lambda g, r: dgll(None, g, r, q=4),
+    "dgll_eta16": lambda g, r: dgll(None, g, r, q=4, eta=16),
+    "plant": lambda g, r: plant_dist(None, g, r, q=4),
+    "plant_eta8": lambda g, r: plant_dist(None, g, r, q=4, eta=8),
+    "hybrid100": lambda g, r: hybrid(None, g, r, q=4, psi_th=100.0),
+    "hybrid2": lambda g, r: hybrid(None, g, r, q=4, psi_th=2.0),
+    "hybrid_eta0": lambda g, r: hybrid(None, g, r, q=2, psi_th=1.0, eta=0),
+    "dpara": lambda g, r: dpara_pll(None, g, r, q=4),
+}
+
+#: (graph, run) -> (supersteps, (broadcast, gather, allreduce bytes, n_syncs), switch_pos)
+EXPECTED = {
+    ("CAL", "dgll"): (6, (116000, 20882, 14954, 4), None),
+    ("SKIT", "dgll"): (6, (21424, 4628, 1654, 4), None),
+    ("CAL", "dgll_eta16"): (6, (88076, 14918, 6212, 4), None),
+    ("SKIT", "dgll_eta16"): (5, (28528, 4588, 1590, 3), None),
+    ("CAL", "plant"): (2, (0, 0, 0, 0), None),
+    ("SKIT", "plant"): (2, (0, 0, 0, 0), None),
+    ("CAL", "plant_eta8"): (3, (9420, 3348, 0, 1), None),
+    ("SKIT", "plant_eta8"): (3, (6328, 2304, 0, 1), None),
+    ("CAL", "hybrid100"): (9, (13708, 5708, 0, 1), 121),
+    ("SKIT", "hybrid100"): (6, (7760, 3199, 0, 1), 72),
+    ("CAL", "hybrid2"): (8, (40556, 10762, 1046, 5), 16),
+    ("SKIT", "hybrid2"): (6, (10544, 3540, 40, 3), 16),
+    ("CAL", "hybrid_eta0"): (7, (20788, 8236, 2338, 4), 16),
+    ("SKIT", "hybrid_eta0"): (6, (1544, 920, 52, 3), 16),
+    ("CAL", "dpara"): (4, (101792, 25448, 0, 2), None),
+    ("SKIT", "dpara"): (4, (50080, 12520, 0, 2), None),
+}
+
+
+@pytest.mark.parametrize("name,run", sorted(EXPECTED))
+def test_supersteps_and_traffic_unchanged(name, run, monkeypatch):
+    calls = []
+    superstep = SimCluster.superstep
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return superstep(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimCluster, "superstep", counted)
+    stats = RUNS[run](graph(name), rank_of(name)).stats
+    c = stats["comm"]
+    steps, comm, switch_pos = EXPECTED[name, run]
+    assert len(calls) == steps
+    assert (c["broadcast_bytes"], c["gather_bytes"], c["allreduce_bytes"], c["n_syncs"]) == comm
+    assert c["total_bytes"] == sum(comm[:3])
+    if run.startswith("hybrid"):
+        assert stats["switch_pos"] == switch_pos

@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.reference import brute_chl
 from repro.dist.dgll import dgll
+from repro.dist.engine import OOMError
 from repro.dist.hybrid import hybrid
 from tests.helpers import (
     CORE_DATASETS,
@@ -66,3 +67,11 @@ def test_als_matches_chl_als():
 def test_eta_zero_hybrid_still_correct():
     r = hybrid(None, graph("CAL"), rank_of("CAL"), q=2, psi_th=1.0, eta=0)
     assert r.store.canonical_set() == chl_set("CAL")
+
+
+@pytest.mark.parametrize("eta", [16, 0])
+def test_oom_budget_in_plant_windows(eta):
+    """A Hybrid that never switches still enforces the node memory budget,
+    with or without common-table updates to apply."""
+    with pytest.raises(OOMError):
+        hybrid(None, graph("POK"), rank_of("POK"), q=2, psi_th=1e9, eta=eta, budget_bytes=64)

@@ -1,5 +1,5 @@
-"""Independent DuckDB checks: recursive-CTE shortest paths, and the
-provided TPC-H-lite generators flowing through the oracle."""
+"""Independent DuckDB checks: recursive-CTE shortest paths, and label and
+edge frames flowing through the oracle."""
 import duckdb
 import numpy as np
 import pandas as pd
@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.dijkstra import reference_dijkstra
 from repro.core.labels import INF
+from repro.core.query import labels_spark_df
 from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders
+from repro.synth_data import graph_edges
+from tests.helpers import TEST_SCALE, pll_store
 
 #: Bounded-hop Bellman-Ford as a recursive CTE — a SQL-only shortest-path
 #: oracle fully independent of any Python Dijkstra.
@@ -55,23 +57,23 @@ def test_duckdb_recursive_cte_matches_dijkstra(src):
 
 
 def test_oracle_passes_on_equal_frames(spark):
-    li = lineitem(spark, sf=0.002)
-    agg = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
+    lab = labels_spark_df(spark, pll_store("SKIT"))
+    agg = lab.groupBy("hub").count().withColumnRenamed("count", "n")
     assert_equivalent(
         agg,
-        "SELECT l_returnflag, COUNT(*) AS n FROM li GROUP BY l_returnflag",
-        li=li,
+        "SELECT hub, COUNT(*) AS n FROM lab GROUP BY hub",
+        lab=lab,
     )
 
 
 def test_oracle_detects_wrong_result(spark):
-    o = orders(spark, sf=0.002)
-    wrong = o.selectExpr("o_orderkey + 1 AS o_orderkey").limit(50)
+    e = graph_edges(spark, "CAL", scale=TEST_SCALE)
+    wrong = e.selectExpr("src", "dst", "w + 1 AS w")
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT o_orderkey FROM o LIMIT 50",
-            o=o,
+            "SELECT src, dst, w FROM e",
+            e=e,
         )
 
 
