@@ -49,7 +49,8 @@ def chl_cached(name: str, scale: float = 1.0):
     rank = rank_for(g, DATASETS[name].kind)
     if f.exists():
         t = np.load(f)["triplets"]
-        return g, rank, LabelStore.from_triplets(g.n, map(tuple, t), rank)
+        # tolist(): labels hold Python ints, as every construction's do
+        return g, rank, LabelStore.from_triplets(g.n, t.tolist(), rank)
     store, _ = seq_pll(g, rank)
     np.savez_compressed(f, triplets=np.array(store.triplets(), dtype=np.int64))
     return g, rank, store

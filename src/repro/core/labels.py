@@ -61,10 +61,6 @@ class LabelStore:
         """Iterate (hub, dist) pairs of vertex ``v``."""
         return zip(self.hubs[v], self.dists[v])
 
-    def hash_of(self, v: int) -> dict[int, int]:
-        """Hub→distance dict of ``L_v`` (the Alg.1 ``hash(L_h)``)."""
-        return dict(zip(self.hubs[v], self.dists[v]))
-
     # ------------------------------------------------------------------ #
     def commit(self, triplets, rank: np.ndarray) -> None:
         """Insert (v, hub, dist) triplets, preserving rank-descending order.
@@ -115,13 +111,6 @@ class LabelStore:
     def canonical_set(self) -> frozenset[tuple[int, int, int]]:
         """Order-free identity of the labeling, for CHL-equality tests."""
         return frozenset(self.triplets())
-
-    def merged_with(self, other: "LabelStore", rank: np.ndarray) -> "LabelStore":
-        """Union of two stores (used to assemble distributed label shards)."""
-        out = LabelStore(self.n)
-        out.commit(self.triplets(), rank)
-        out.commit(other.triplets(), rank)
-        return out
 
     @staticmethod
     def from_triplets(n: int, triplets, rank: np.ndarray) -> "LabelStore":

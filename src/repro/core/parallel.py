@@ -105,7 +105,7 @@ def dq_clean(
     return False
 
 
-def _eval_clean_chunk(chunk, witness: LabelStore, rank: np.ndarray):
+def eval_clean_chunk(chunk, witness: LabelStore, rank: np.ndarray):
     """Redundant subset of a chunk of (v, h, delta) candidates."""
     out = []
     hubs, dists = witness.hubs, witness.dists
@@ -137,7 +137,7 @@ def find_redundant(
     # A Spark round-trip costs ~0.3 s; small cleaning rounds (GLL's whole
     # point is that they are small) run on the driver, LCC-sized fan out.
     if spark is None or len(candidates) < 50_000:
-        return set(_eval_clean_chunk(candidates, witness, rank))
+        return set(eval_clean_chunk(candidates, witness, rank))
     sc = spark.sparkContext
     store_bc, rank_bc = sc.broadcast(witness), sc.broadcast(rank)
     k = _n_slices(spark, len(candidates))
@@ -145,7 +145,7 @@ def find_redundant(
     try:
         res = (
             sc.parallelize(chunks, k)
-            .flatMap(lambda ch: _eval_clean_chunk(ch, store_bc.value, rank_bc.value))
+            .flatMap(lambda ch: eval_clean_chunk(ch, store_bc.value, rank_bc.value))
             .collect()
         )
     finally:

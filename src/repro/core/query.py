@@ -2,9 +2,11 @@
 
 Two paths:
 
-* ``QueryIndex`` — numpy per-vertex sorted hub arrays; a query is a
-  sorted-array intersection + min of distance sums. This is the kernel
-  the §6 query modes (QLSN/QFDL/QDOL) run on each simulated node.
+* ``QueryIndex`` — the labeling itself (a ``LabelStore``) served for
+  queries: a query builds a hub→dist dict of u's labels, probes it with
+  v's labels and takes the min distance sum (no rank, no sort). This is
+  the kernel the §6 query modes (QLSN/QFDL/QDOL) run on each simulated
+  node.
 * ``spark_query_df`` — the DataFrame/Spark SQL expression of the same
   computation (labels self-join on hub), used so every query-result test
   can be diffed against DuckDB via ``repro.oracle.assert_equivalent``.
@@ -16,11 +18,11 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.labels import INF, LABEL_BYTES, LabelStore
+from repro.core.labels import INF, LabelStore
 
 
-class QueryIndex:
-    """Per-vertex (hub, dist) arrays sorted by hub id, for fast intersection.
+class QueryIndex(LabelStore):
+    """A ``LabelStore`` that answers PPSD queries from its own lists.
 
     May hold only a *subset* of labels (a node's shard in QFDL/QDOL); a
     partial index returns the min over the labels it has (INF if none),
@@ -28,46 +30,31 @@ class QueryIndex:
     modes min-reduce.
     """
 
-    def __init__(self, n: int, triplets):
-        self.n = n
-        by_v: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v, h, d in triplets:
-            by_v[v].append((h, d))
-        self.hubs: list[np.ndarray] = []
-        self.dists: list[np.ndarray] = []
-        for pairs in by_v:
-            pairs.sort()
-            self.hubs.append(np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs)))
-            self.dists.append(np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs)))
-
     @classmethod
     def from_store(cls, store: LabelStore) -> "QueryIndex":
-        return cls(store.n, store.triplets())
+        """Serve ``store``'s labels; its per-vertex lists are shared, not copied."""
+        return cls(store.n, store.hubs, store.dists)
 
     def query(self, u: int, v: int) -> int:
         """min over common hubs of d(u,h)+d(v,h); INF if none known here."""
         hu, hv = self.hubs[u], self.hubs[v]
-        if len(hu) == 0 or len(hv) == 0:
+        if not hu or not hv:
             return INF
-        common, iu, iv = np.intersect1d(hu, hv, assume_unique=True, return_indices=True)
-        if len(common) == 0:
-            return INF
-        return int((self.dists[u][iu] + self.dists[v][iv]).min())
+        du = dict(zip(hu, self.dists[u]))
+        best = INF
+        for h, d in zip(hv, self.dists[v]):
+            if h in du and du[h] + d < best:
+                best = du[h] + d
+        return best
 
     def query_batch(self, pairs: np.ndarray) -> np.ndarray:
         """Vector of answers for an (m, 2) array of query pairs."""
+        query = self.query
         return np.fromiter(
-            (self.query(int(u), int(v)) for u, v in pairs),
+            (query(u, v) for u, v in np.asarray(pairs).tolist()),
             dtype=np.int64,
             count=len(pairs),
         )
-
-    def num_labels(self) -> int:
-        return int(sum(len(h) for h in self.hubs))
-
-    def bytes(self) -> int:
-        """Footprint under the paper's 8-bytes-per-label storage model."""
-        return self.num_labels() * LABEL_BYTES
 
 
 def labels_spark_df(spark: SparkSession, store: LabelStore) -> DataFrame:

@@ -23,7 +23,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.dijkstra import prune_dij_rq
 from repro.core.labels import CommonLabelTable, LabelStore
-from repro.core.parallel import dq_clean
+from repro.core.parallel import eval_clean_chunk
 from repro.core.plant import plant_dijkstra
 from repro.dist.cluster import SimCluster
 from repro.graphs.csr import CSRGraph
@@ -123,14 +123,7 @@ def clean_fn(get):
 
     def fn(node_id, st: NodeState, payload):
         g, rank, order = get()
-        hubs, dists = st.store.hubs, st.store.dists
-        redundant = []
-        for v, h, delta in payload:
-            if v == h:
-                continue
-            if dq_clean(hubs[v], dists[v], hubs[h], dists[h], h, delta, rank):
-                redundant.append((v, h))
-        return st, redundant
+        return st, eval_clean_chunk(payload, st.store, rank)
 
     return fn
 

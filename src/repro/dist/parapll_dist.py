@@ -19,7 +19,6 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.dijkstra import prune_dij_rq
-from repro.core.labels import LabelStore
 from repro.dist.dgll import DistResult
 from repro.dist.engine import NodeState, check_budget, my_roots, node_cluster, out_of_time
 from repro.graphs.csr import CSRGraph
@@ -96,9 +95,6 @@ def dpara_pll(
             "als": per_node[0]["labels"] / n,
         }
         store = None
-        if collect:
-            shards = cluster.map_states(
-                lambda i, st: st.store.triplets() if i == 0 else None
-            )
-            store = LabelStore.from_triplets(n, shards[0], rank)
+        if collect:  # node 0's replica is the whole labeling, in rank order
+            store = cluster.map_states(lambda i, st: st.store if i == 0 else None)[0]
         return DistResult(store, stats)

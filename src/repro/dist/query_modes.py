@@ -56,28 +56,34 @@ def qdol_node_of(pu: int, pv: int, zeta: int) -> tuple[int, int]:
 # --------------------------------------------------------------------- #
 def shard_by_hub_owner(store: LabelStore, rank: np.ndarray, q: int) -> list[QueryIndex]:
     """QFDL layout: label (v, h, d) lives on node (rank-index of h) mod q —
-    the node that generated SPT_h under circular task assignment."""
+    the node that generated SPT_h under circular task assignment.
+    Filtering each vertex's lists keeps their rank order."""
     n = store.n
-    shards: list[list] = [[] for _ in range(q)]
-    for v, h, d in store.triplets():
-        owner = int(n - 1 - rank[h]) % q
-        shards[owner].append((v, h, d))
-    return [QueryIndex(n, t) for t in shards]
+    owner = ((n - 1 - np.asarray(rank)) % q).tolist()
+    shards = [QueryIndex(n) for _ in range(q)]
+    for v in range(n):
+        for h, d in zip(store.hubs[v], store.dists[v]):
+            s = shards[owner[h]]
+            s.hubs[v].append(h)
+            s.dists[v].append(d)
+    return shards
 
 
 def qdol_indices(
     store: LabelStore, q: int
 ) -> tuple[int, dict[tuple[int, int], QueryIndex]]:
-    """QDOL layout: node (i, j) stores full label sets of partitions i, j."""
+    """QDOL layout: node (i, j) stores full label sets of partitions i, j
+    (the store's own per-vertex lists, shared, and empty lists elsewhere)."""
     zeta = zeta_for(q)
-    n = store.n
-    by_part: list[list] = [[] for _ in range(zeta)]
-    for v, h, d in store.triplets():
-        by_part[v % zeta].append((v, h, d))
     nodes = {}
     for i in range(zeta):
         for j in range(i + 1, zeta):
-            nodes[(i, j)] = QueryIndex(n, by_part[i] + by_part[j])
+            mine = [v % zeta in (i, j) for v in range(store.n)]
+            nodes[(i, j)] = QueryIndex(
+                store.n,
+                [hs if m else [] for hs, m in zip(store.hubs, mine)],
+                [ds if m else [] for ds, m in zip(store.dists, mine)],
+            )
     return zeta, nodes
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.core.labels import INF
+
 
 @dataclass
 class CSRGraph:
@@ -64,6 +66,8 @@ def from_edges(n: int, src, dst, w) -> CSRGraph:
 
     Parallel edges are collapsed to the minimum weight; self-loops are
     dropped (they never lie on a shortest path with positive weights).
+    Raises ValueError if the kept weights sum to ``INF`` or more, since a
+    real path could then read as unreachable.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -81,6 +85,8 @@ def from_edges(n: int, src, dst, w) -> CSRGraph:
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     lo, hi, w = lo[first], hi[first], w[first]
+    if sum(w.tolist()) >= INF:  # Python ints: the sum cannot overflow
+        raise ValueError(f"total edge weight must stay below INF = {INF}")
 
     # Symmetrize into CSR.
     all_src = np.concatenate([lo, hi])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.labels import INF
 from repro.graphs.csr import CSRGraph, from_edge_pandas, from_edges
 from tests.helpers import random_connected_graph
 
@@ -40,6 +41,19 @@ def test_positive_weight_enforced():
         from_edges(2, [0], [1], [0])
     with pytest.raises(ValueError):
         from_edges(2, [0], [1], [-2])
+
+
+def test_total_weight_below_inf():
+    """The longest possible path (all edges) must stay below INF."""
+    half = INF // 2
+    g = from_edges(3, [0, 1], [1, 2], [half, half - 1])  # total INF - 1
+    assert int(g.weights.sum()) // 2 == INF - 1
+    with pytest.raises(ValueError):
+        from_edges(3, [0, 1], [1, 2], [half, half])  # total == INF
+    with pytest.raises(ValueError):  # the int64 sum would wrap negative
+        from_edges(3, [0, 1], [1, 2], [1 << 62, 1 << 62])
+    # a dropped self-loop and a collapsed parallel edge do not count
+    from_edges(3, [0, 0, 0, 1], [0, 1, 1, 2], [half, half, 1, half - 1])
 
 
 def test_degrees():

@@ -34,7 +34,6 @@ def test_commit_keeps_rank_descending():
 def test_hash_and_labels_of():
     s = LabelStore(2)
     s.commit([(1, 0, 4), (1, 1, 0)], _rank(2))
-    assert s.hash_of(1) == {0: 4, 1: 0}
     assert dict(s.labels_of(1)) == {0: 4, 1: 0}
 
 
@@ -53,15 +52,6 @@ def test_triplets_roundtrip():
     assert s.canonical_set() == frozenset(t)
     pdf = s.to_pandas()
     assert set(pdf.columns) == {"v", "hub", "dist"} and len(pdf) == 3
-
-
-def test_merged_with():
-    r = _rank(3)
-    a = LabelStore.from_triplets(3, [(0, 2, 1)], r)
-    b = LabelStore.from_triplets(3, [(1, 2, 2)], r)
-    assert a.merged_with(b, r).canonical_set() == frozenset(
-        {(0, 2, 1), (1, 2, 2)}
-    )
 
 
 def test_payload_bytes_monotone():

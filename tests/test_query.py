@@ -1,4 +1,4 @@
-"""PPSD query answering: numpy index and the Spark SQL path (oracle-checked)."""
+"""PPSD query answering: the label-store index and the Spark SQL path (oracle-checked)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -41,20 +41,29 @@ def test_unreachable_pair_inf():
     assert idx.query(0, 1) == 1
 
 
+def _index(n, triplets):
+    return QueryIndex.from_store(LabelStore.from_triplets(n, triplets, np.arange(n)))
+
+
 def test_partial_index_returns_partial_min():
-    store = LabelStore.from_triplets(
-        2, [(0, 1, 3), (1, 1, 0)], np.array([0, 1])
-    )
     # an index holding only hub-1 labels answers through hub 1 alone
-    idx = QueryIndex(2, [(0, 1, 3), (1, 1, 0)])
+    idx = _index(2, [(0, 1, 3), (1, 1, 0)])
     assert idx.query(0, 1) == 3
-    empty = QueryIndex(2, [])
+    empty = _index(2, [])
     assert empty.query(0, 1) == INF
 
 
 def test_query_index_bytes():
-    idx = QueryIndex(2, [(0, 1, 3), (1, 1, 0)])
+    idx = _index(2, [(0, 1, 3), (1, 1, 0)])
     assert idx.bytes() == 16 and idx.num_labels() == 2
+
+
+def test_from_store_shares_lists():
+    """The index is the store's labels, not a copy of them."""
+    store = chl("SKIT")
+    idx = QueryIndex.from_store(store)
+    assert idx.n == store.n
+    assert idx.hubs is store.hubs and idx.dists is store.dists
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.core.labels import LABEL_BYTES
-from repro.core.query import QueryIndex
+from repro.core.labels import INF, LABEL_BYTES
+from repro.core.pll import seq_pll
+from repro.core.reference import ground_truth_pairs
 from repro.dist.query_modes import (
     evaluate_query_modes,
     qdol_indices,
@@ -11,8 +12,26 @@ from repro.dist.query_modes import (
     shard_by_hub_owner,
     zeta_for,
 )
+from repro.graphs.csr import from_edges
+from repro.graphs.ranking import degree_rank
 from repro.synth_data import query_pairs
 from tests.helpers import chl, dist_matrix, graph, rank_of
+
+#: Degenerate graphs: one vertex; two vertices, no edge; an isolated
+#: vertex (0) beside two components (1-2-3 and 4-5).
+DEGENERATE = {
+    "n1": (1, [], [], []),
+    "n2_no_edge": (2, [], [], []),
+    "isolated_and_two_components": (6, [1, 2, 4], [2, 3, 5], [2, 3, 1]),
+}
+
+
+def _degenerate(name):
+    g = from_edges(*DEGENERATE[name])
+    rank = degree_rank(g)
+    pairs = np.array([(u, v) for u in range(g.n) for v in range(g.n)], dtype=np.int64)
+    truth = ground_truth_pairs(g, pairs)["dist"].to_numpy()
+    return g, seq_pll(g, rank)[0], rank, pairs, truth
 
 
 def test_zeta_values():
@@ -118,3 +137,19 @@ def test_latency_model_ordering():
     )
     assert res["QLSN"]["latency_s"] < res["QFDL"]["latency_s"]
     assert res["QDOL"]["latency_s"] < res["QFDL"]["latency_s"]
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("q", [2, 4])
+def test_modes_on_degenerate_graphs(name, q):
+    g, store, rank, pairs, truth = _degenerate(name)
+    assert (truth == INF).any() == (name != "n1")
+    res = evaluate_query_modes(None, store, rank, q, pairs)
+    for mode in ("QLSN", "QFDL", "QDOL"):
+        assert np.array_equal(res[mode]["answers"], truth), mode
+
+
+def test_qdol_on_degenerate_graph_through_spark(spark):
+    g, store, rank, pairs, truth = _degenerate("isolated_and_two_components")
+    res = evaluate_query_modes(spark, store, rank, 4, pairs)
+    assert np.array_equal(res["QDOL"]["answers"], truth)
