@@ -7,9 +7,11 @@ mistake mode LCC/GLL are designed to correct (DESIGN.md §2). The graph
 and the snapshot travel to executors as broadcast variables; results
 come back as plain (root, labels) lists.
 
-All helpers accept ``spark=None`` to run the identical computation
-serially on the driver — unit tests use that path; integration tests and
-benchmarks use Spark.
+``spark_map`` is the one stateless fan-out (broadcast → ``parallelize``
+→ ``collect``): tree batches, large cleaning rounds and the query modes'
+batches all run through it. With ``spark=None`` it runs the identical
+computation serially on the driver — unit tests use that path;
+integration tests and benchmarks use Spark.
 """
 from __future__ import annotations
 
@@ -23,6 +25,26 @@ from repro.graphs.csr import CSRGraph
 
 def _n_slices(spark: SparkSession, n_items: int) -> int:
     return max(1, min(n_items, spark.sparkContext.defaultParallelism * 2))
+
+
+def spark_map(spark: SparkSession | None, fn, items, *shared, slices: int | None = None) -> list:
+    """``[fn(x, *shared) for x in items]``, fanned out over Spark unless
+    ``spark`` is None: each ``shared`` value travels once as a broadcast,
+    the items are split into ``slices`` tasks (default: twice the cores),
+    and ``collect`` returns the results in ``items`` order."""
+    if spark is None:
+        return [fn(x, *shared) for x in items]
+    sc = spark.sparkContext
+    bcs = [sc.broadcast(s) for s in shared]
+    try:
+        return (
+            sc.parallelize(items, slices or _n_slices(spark, len(items)))
+            .map(lambda x: fn(x, *(b.value for b in bcs)))
+            .collect()
+        )
+    finally:
+        for b in bcs:
+            b.unpersist()
 
 
 def build_trees(
@@ -39,40 +61,13 @@ def build_trees(
 
     Returns [(root, [(v, dist), ...])], in ``roots`` order.
     """
-    roots = [int(r) for r in roots]
-    if spark is None:
-        return [
-            (r, prune_dij_rq(g, rank, r, visible, use_rank_queries=use_rank_queries, common=common))
-            for r in roots
-        ]
-    sc = spark.sparkContext
-    g_bc, rank_bc, vis_bc = sc.broadcast(g), sc.broadcast(rank), sc.broadcast(visible)
-    common_bc = sc.broadcast(common)
-    urq = use_rank_queries
-    try:
-        res = (
-            sc.parallelize(roots, _n_slices(spark, len(roots)))
-            .map(
-                lambda r: (
-                    r,
-                    prune_dij_rq(
-                        g_bc.value,
-                        rank_bc.value,
-                        r,
-                        vis_bc.value,
-                        use_rank_queries=urq,
-                        common=common_bc.value,
-                    ),
-                )
-            )
-            .collect()
+
+    def tree(r, g, rank, visible, common):
+        return r, prune_dij_rq(
+            g, rank, r, visible, use_rank_queries=use_rank_queries, common=common
         )
-    finally:
-        for b in (g_bc, rank_bc, vis_bc, common_bc):
-            b.unpersist()
-    order = {r: i for i, r in enumerate(roots)}
-    res.sort(key=lambda t: order[t[0]])
-    return res
+
+    return spark_map(spark, tree, [int(r) for r in roots], g, rank, visible, common)
 
 
 def dq_clean(
@@ -138,17 +133,7 @@ def find_redundant(
     # point is that they are small) run on the driver, LCC-sized fan out.
     if spark is None or len(candidates) < 50_000:
         return set(eval_clean_chunk(candidates, witness, rank))
-    sc = spark.sparkContext
-    store_bc, rank_bc = sc.broadcast(witness), sc.broadcast(rank)
     k = _n_slices(spark, len(candidates))
     chunks = [candidates[i::k] for i in range(k)]
-    try:
-        res = (
-            sc.parallelize(chunks, k)
-            .flatMap(lambda ch: eval_clean_chunk(ch, store_bc.value, rank_bc.value))
-            .collect()
-        )
-    finally:
-        store_bc.unpersist()
-        rank_bc.unpersist()
-    return set(res)
+    parts = spark_map(spark, eval_clean_chunk, chunks, witness, rank)
+    return {vh for part in parts for vh in part}

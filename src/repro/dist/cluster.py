@@ -1,13 +1,14 @@
-"""SimCluster — q logical cluster nodes realised as a partitioned RDD.
+"""SimCluster — q logical cluster nodes realised as one persisted RDD.
 
-Each node's state (its shard of the label set, its Common Label Table,
-its counters) lives in one RDD partition and persists across supersteps;
-a superstep is a ``map`` with ``preservesPartitioning=True``. The driver
-plays the MPI runtime: payloads move as Spark broadcasts (MPI_Bcast),
-per-node outputs return via ``collect`` (MPI_Gather), and redundancy
-bitvectors are OR-combined on the driver (MPI_Allreduce). Every such
-event is metered in ``CommCounter`` — the paper's scalability story is
-precisely about this traffic (§5.2: PLaNT's zero label traffic).
+Node i lives alone in slice i of ``parallelize(range(q), q)``; the RDD
+holds ``(node_id, (state, last_out))`` and is never shuffled. A superstep
+is one Spark job: ``map`` the previous RDD, ``persist`` the result and
+``collect`` the outputs, which caches the new states as a side effect.
+The driver plays the MPI runtime: payloads move as Spark broadcasts
+(MPI_Bcast), per-node outputs return via ``collect`` (MPI_Gather), and
+redundancy bitvectors are OR-combined on the driver (MPI_Allreduce).
+Every such event is metered in ``CommCounter`` — the paper's scalability
+story is precisely about this traffic (§5.2: PLaNT's zero label traffic).
 
 ``spark=None`` degrades to an in-process list of node states running the
 same superstep functions serially — used by fast unit tests; the Spark
@@ -48,10 +49,11 @@ class CommCounter:
 class SimCluster:
     """q logical nodes with persistent per-node state.
 
-    ``init_fn(node_id) -> state`` builds each node's initial state. A
-    superstep applies ``fn(node_id, state, payload) -> (state', out)`` on
-    every node and returns ``{node_id: out}``; state' replaces the node
-    state for subsequent supersteps.
+    ``init_fn(node_id) -> state`` builds each node's initial state (on
+    Spark, inside the first job that reads the states). A superstep
+    applies ``fn(node_id, state, payload) -> (state', out)`` on every node
+    and returns ``{node_id: out}``; state' replaces the node state for
+    subsequent supersteps.
     """
 
     def __init__(self, spark: SparkSession | None, q: int, init_fn):
@@ -62,18 +64,16 @@ class SimCluster:
             self._states = {i: init_fn(i) for i in range(q)}
             self._rdd = None
         else:
-            sc = spark.sparkContext
             self._rdd = (
-                sc.parallelize([(i, None) for i in range(q)], q)
-                .partitionBy(q, lambda k: k)
-                .map(lambda kv: (kv[0], init_fn(kv[0])), preservesPartitioning=True)
+                spark.sparkContext.parallelize(range(q), q)
+                .map(lambda i: (i, (init_fn(i), None)))
                 .persist(StorageLevel.MEMORY_AND_DISK)
             )
-            self._rdd.count()
 
     # ------------------------------------------------------------------ #
     def superstep(self, fn, payload=None, *, broadcast_payload=True) -> dict:
-        """Run ``fn`` on every node; meter payload delivery if requested.
+        """Run ``fn`` on every node as one Spark job; meter payload
+        delivery if requested.
 
         ``broadcast_payload=False`` marks driver-side orchestration data
         (e.g. root-id ranges) that the paper does not count as label
@@ -87,23 +87,13 @@ class SimCluster:
             for i in range(self.q):
                 self._states[i], outs[i] = fn(i, self._states[i], payload)
             return outs
-        sc = self.spark.sparkContext
-        pay_bc = sc.broadcast(payload)
-        step = (
-            self._rdd.map(
-                lambda kv: (kv[0], fn(kv[0], kv[1], pay_bc.value)),
-                preservesPartitioning=True,
-            )
-            .persist(StorageLevel.MEMORY_AND_DISK)
-        )
-        outs = dict(step.map(lambda kv: (kv[0], kv[1][1])).collect())
-        new_rdd = step.map(
-            lambda kv: (kv[0], kv[1][0]), preservesPartitioning=True
+        pay_bc = self.spark.sparkContext.broadcast(payload)
+        new_rdd = self._rdd.map(
+            lambda kv: (kv[0], fn(kv[0], kv[1][0], pay_bc.value))
         ).persist(StorageLevel.MEMORY_AND_DISK)
-        new_rdd.count()
+        outs = dict(new_rdd.map(lambda kv: (kv[0], kv[1][1])).collect())
         self._rdd.unpersist()
-        step.unpersist()
-        pay_bc.unpersist()
+        pay_bc.unpersist()  # the driver keeps the value for recomputes
         self._rdd = new_rdd
         return outs
 
@@ -131,7 +121,7 @@ class SimCluster:
         """Read-only pass over node states (not metered; local analytics)."""
         if self.spark is None:
             return {i: fn(i, st) for i, st in self._states.items()}
-        return dict(self._rdd.map(lambda kv: (kv[0], fn(kv[0], kv[1]))).collect())
+        return dict(self._rdd.map(lambda kv: (kv[0], fn(kv[0], kv[1][0]))).collect())
 
     def free(self) -> None:
         if self._rdd is not None:

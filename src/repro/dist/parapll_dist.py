@@ -20,7 +20,14 @@ from pyspark.sql import SparkSession
 
 from repro.core.dijkstra import prune_dij_rq
 from repro.dist.dgll import DistResult
-from repro.dist.engine import NodeState, check_budget, my_roots, node_cluster, out_of_time
+from repro.dist.engine import (
+    NodeState,
+    check_budget,
+    cluster_stats,
+    my_roots,
+    node_cluster,
+    out_of_time,
+)
 from repro.graphs.csr import CSRGraph
 
 
@@ -77,23 +84,16 @@ def dpara_pll(
             cluster.gather(outs)
             check_budget(cluster.superstep(merge_fn, outs), budget_bytes)  # full label exchange
             pos += step
-        per_node = cluster.map_states(
-            lambda i, st: {
-                "work_s": st.work_s,
-                "mem": st.mem_bytes(),
-                "labels": st.store.num_labels(),
-            }
+        stats = cluster_stats(cluster)
+        # every replica holds the whole labeling after each merge
+        labels_total = stats["labels_total"] // q
+        stats.update(
+            labels_total=labels_total,
+            time_s=time.perf_counter() - t0,
+            timed_out=timed_out,
+            supersteps=pos // step,  # windows actually run
+            als=labels_total / n,
         )
-        stats = {
-            "work_makespan_s": max(v["work_s"] for v in per_node.values()),
-            "mem_max_node": max(v["mem"] for v in per_node.values()),
-            "labels_total": per_node[0]["labels"],
-            "comm": cluster.comm.as_dict(),
-            "time_s": time.perf_counter() - t0,
-            "timed_out": timed_out,
-            "supersteps": pos // step,  # windows actually run
-            "als": per_node[0]["labels"] / n,
-        }
         store = None
         if collect:  # node 0's replica is the whole labeling, in rank order
             store = cluster.map_states(lambda i, st: st.store if i == 0 else None)[0]

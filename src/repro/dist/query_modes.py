@@ -26,6 +26,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.labels import INF, LabelStore
+from repro.core.parallel import spark_map
 from repro.core.query import QueryIndex
 
 
@@ -92,15 +93,9 @@ def qdol_indices(
 # --------------------------------------------------------------------- #
 def _run_spark_batches(spark: SparkSession | None, tasks: list):
     """tasks: [(key, QueryIndex, pairs ndarray)] → {key: answers ndarray}."""
-    if spark is None:
-        return {k: idx.query_batch(p) for k, idx, p in tasks}
-    sc = spark.sparkContext
-    res = (
-        sc.parallelize(tasks, len(tasks))
-        .map(lambda t: (t[0], t[1].query_batch(t[2])))
-        .collect()
+    return dict(
+        spark_map(spark, lambda t: (t[0], t[1].query_batch(t[2])), tasks, slices=len(tasks))
     )
-    return dict(res)
 
 
 def answer_qlsn(spark, index: QueryIndex, pairs: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
 """SimCluster semantics: state persistence, metering, reductions."""
+import time
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.labels import payload_bytes
 from repro.dist.cluster import SimCluster
+from repro.dist.engine import apply_updates, clean_fn, construct_fn, node_cluster
+from tests.helpers import graph, rank_of
 
 
 def _counter_init(i):
@@ -88,3 +93,64 @@ def test_spark_node_isolation(spark):
         assert out == {0: [0, 0], 1: [1, 1], 2: [2, 2]}
     finally:
         c.free()
+
+
+@contextmanager
+def _count_jobs(spark, group):
+    """Yield a list that receives, on exit, the number of Spark jobs the
+    block launched (counted through a job group)."""
+    sc = spark.sparkContext
+    counted: list[int] = []
+    sc.setJobGroup(group, group)
+    try:
+        yield counted
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    time.sleep(0.5)  # the status store is fed by an asynchronous listener
+    counted.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+
+
+def test_one_spark_job_per_superstep(spark):
+    """Construction is lazy; each superstep is a single map+collect job
+    that reads the cached states, so no node state is ever rebuilt."""
+    inits = spark.sparkContext.accumulator(0)
+
+    def init(i):
+        inits.add(1)
+        return _counter_init(i)
+
+    with _count_jobs(spark, "simcluster-init") as init_jobs:
+        c = SimCluster(spark, 4, init)
+    try:
+        with _count_jobs(spark, "simcluster-steps") as step_jobs:
+            c.superstep(_inc, 1)
+            c.superstep(_inc, 2)
+        assert (init_jobs, step_jobs) == ([0], [2])
+        assert c.map_states(lambda i, st: st["count"]) == {i: 3 for i in range(4)}
+        assert inits.value == 4
+    finally:
+        c.free()
+
+
+def _shard(node_id, st):
+    return st.store.triplets()
+
+
+def test_spark_recomputes_lost_states_from_lineage(spark):
+    """Superstep functions mutate node state in place; a node RDD dropped
+    from the cache must still be rebuilt, from lineage, into the same shards."""
+    g, rank, q = graph("CAL"), rank_of("CAL"), 4
+    with node_cluster(spark, g, rank, q) as (cluster, get):
+        build, cleaner = construct_fn(get, "dgll"), clean_fn(get)
+        pos = 0
+        for x in (16, 32, 64):
+            outs = cluster.superstep(build, {"pos": pos, "x": x, "q": q}, broadcast_payload=False)
+            new = [t for o in outs.values() for t in o["new"]]
+            doomed = cluster.allreduce_or(cluster.superstep(cleaner, new))
+            cluster.superstep(apply_updates, {"doomed": doomed, "common_updates": []})
+            pos += x
+        before = cluster.map_states(_shard)
+        cluster._rdd.unpersist()
+        assert not cluster._rdd.is_cached
+        assert cluster.map_states(_shard) == before
+    assert sum(len(t) for t in before.values()) > 0

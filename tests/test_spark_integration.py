@@ -4,8 +4,10 @@ against DuckDB through the oracle."""
 import numpy as np
 import pytest
 
-from repro.core.gll import gll
+from repro.core.gll import construct_and_clean, gll
+from repro.core.labels import LabelStore
 from repro.core.lcc import lcc
+from repro.core.parallel import build_trees, find_redundant
 from repro.core.parapll import spara_pll
 from repro.core.query import QueryIndex, labels_spark_df, spark_query_df
 from repro.core.reference import ground_truth_pairs
@@ -16,9 +18,46 @@ from repro.dist.plant_dist import plant_dist
 from repro.dist.query_modes import evaluate_query_modes
 from repro.oracle import assert_equivalent
 from repro.synth_data import graph_edges, query_pairs
+from repro.graphs.ranking import roots_by_rank
 from tests.helpers import TEST_SCALE, chl, chl_set, graph, rank_of
 
 NAMES = ["CAL", "SKIT"]
+
+
+@pytest.mark.parametrize("use_rank_queries", [True, False])
+def test_spark_build_trees_equals_serial(spark, use_rank_queries):
+    """The Spark branch of build_trees returns the serial trees, in roots
+    order, for every root pruned against a partial snapshot."""
+    name = "SKIT"
+    g, rank = graph(name), rank_of(name)
+    order = [int(r) for r in roots_by_rank(rank)]
+    top = set(order[: g.n // 4])
+    snapshot = [t for t in chl(name).triplets() if t[1] in top]
+    visible = LabelStore.from_triplets(g.n, snapshot, rank)
+    roots = order[::-1]  # not the rank order, so the order is checked too
+    args = (g, rank, roots, visible)
+    trees = build_trees(spark, *args, use_rank_queries=use_rank_queries)
+    assert [r for r, _ in trees] == roots
+    assert trees == build_trees(None, *args, use_rank_queries=use_rank_queries)
+
+
+def test_spark_find_redundant_equals_serial(spark):
+    """A cleaning round large enough for the Spark branch finds the serial
+    redundant set. The round is m disjoint copies of one uncleaned
+    labeling (vertex and rank ids shifted per copy), so every candidate
+    and every redundant label is distinct."""
+    name = "POK"
+    g, rank = graph(name), rank_of(name)
+    store, _ = construct_and_clean(None, g, rank, p=16, alpha=None, clean=False)
+    one = store.triplets()
+    m, n = -(-50_000 // len(one)), g.n
+    ranks = np.concatenate([rank + c * n for c in range(m)])
+    cands = [(v + c * n, h + c * n, d) for c in range(m) for v, h, d in one]
+    witness = LabelStore.from_triplets(m * n, cands, ranks)
+    doomed = find_redundant(spark, witness, cands, ranks)
+    assert doomed == find_redundant(None, witness, cands, ranks)
+    once = find_redundant(None, store, one, rank)
+    assert once and doomed == {(v + c * n, h + c * n) for c in range(m) for v, h in once}
 
 
 @pytest.mark.parametrize("name", NAMES)
