@@ -210,13 +210,20 @@ T4_NOTES = """
 - *Latency*: QLSN < QDOL < QFDL ordering holds (QLSN has no network hop; QDOL
   pays one P2P round-trip; QFDL pays a broadcast + reduction). Network constants
   are the documented model of DESIGN.md §2.3 (scaled ×10 to keep compute:network
-  ratio faithful given Python-speed query kernels). POK, the paper's exception
-  where QFDL's parallelism beats QDOL, shows the same compressed QDOL margin.
+  ratio faithful given Python-speed query kernels). Each sampled query's
+  compute is timed on the node(s) its mode sends it to. QDOL's routed node
+  holds the full label lists of both endpoints, so its compute is QLSN's
+  within run-to-run noise (CAL 15.7 vs 10.1 µs here; 10.7 vs 11.4 µs when
+  timed back to back); QFDL counts the slowest of its 16 shards per query.
+  POK and LIJ, the largest-ALS rows, have the largest QDOL compute (39 and
+  51 µs). That is where the paper's QFDL overtakes QDOL (POK: 32 vs 34.5 µs);
+  here the modelled 400 µs broadcast + reduction keeps QFDL the slowest.
 - *Throughput*: QDOL beats QFDL on every dataset, as in the paper (each query
   answered by one node with full locality, multi-node parallelism across the
   batch). Where QLSN fits the node budget it is the fastest mode here, unlike
   the paper: one Spark task answers the whole batch from the label lists,
-  while QDOL pays the dispatch of 15 tasks and the footnote-9 routing. CAL is
+  while QDOL pays the dispatch of its 15 pair-nodes (8 Spark tasks on 4
+  cores) and the footnote-9 routing. CAL is
   the exception only because it runs first: its QLSN batch carries the
   session's Spark warm-up (run after SKIT, CAL's QLSN measured 92.5 kq/s). The
   paper's QFDL > QLSN gap (multi-node parallelism beating one node) does not

@@ -5,8 +5,9 @@ The CHL for each dataset is built once (seqPLL, cached under results/).
 Memory is the measured 8-bytes-per-label footprint; the per-node budget
 NODE_BUDGET_BYTES is the scaled stand-in for the paper's 64 GB nodes and
 produces the same "-" pattern (QLSN infeasible on CTR/USA/POK/LIJ).
-Latency = measured per-query compute + the documented NetworkModel
-constants; throughput is measured over a Spark-parallel batch.
+Latency = per-query compute measured on the nodes each query is sent to +
+the documented network constants of repro.dist.query_modes; throughput is
+measured over a Spark-parallel batch.
 """
 from __future__ import annotations
 

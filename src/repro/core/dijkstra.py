@@ -80,6 +80,7 @@ def prune_dij_rq(
     pq = [(0, root)]
     out: list[tuple[int, int]] = []
     vh, vd = visible.hubs, visible.dists
+    cover = common.cover_vector(root) if common is not None else None
     while pq:
         d, v = heapq.heappop(pq)
         if done[v]:
@@ -90,9 +91,8 @@ def prune_dij_rq(
         if v != root:
             if distance_query(root_hash, vh[v], vd[v], d):
                 continue  # Distance-Query prune
-            if common is not None and common.covered(root, v, d):
-                continue  # §5.3 common-table prune (trees here are heavily
-                # rank/DQ-pruned, so per-pop checks beat a per-tree hoist)
+            if cover is not None and cover[v] <= d:
+                continue  # §5.3 common-table prune
         out.append((v, int(d)))
         for i in range(indptr[v], indptr[v + 1]):
             u = indices[i]

@@ -127,9 +127,9 @@ def payload_bytes(obj) -> int:
 class CommonLabelTable:
     """Replicated labels of the η top-ranked hubs (paper §5.3).
 
-    ``dist[i, v]`` is d(hub_i, v) if hub_i labels v, else INF. A coverage
-    query ``covered(root, v, delta)`` asks whether some common hub lies on
-    a path of length ≤ delta — vectorised over the η rows.
+    ``dist[i, v]`` is d(hub_i, v) if hub_i labels v, else INF. A tree
+    asks ``cover_vector(root)`` once — one vectorised min over the η rows
+    — and prunes v when some common hub lies on a path of length ≤ d(root, v).
     """
 
     def __init__(self, n: int, hub_ids: np.ndarray):
@@ -144,23 +144,13 @@ class CommonLabelTable:
         for v, d in labels:
             self.dist[row, v] = d
 
-    def covered(self, root: int, v: int, delta: int) -> bool:
-        """True iff some top hub w ≠ root has d(w,root)+d(w,v) ≤ delta.
+    def cover_vector(self, root: int) -> np.ndarray:
+        """The coverage query for one tree: ``out[v]`` = min over top hubs
+        w ≠ root of d(w,root)+d(w,v), so (root, v) is covered within delta
+        iff ``out[v] <= delta``.
 
         Finite d(w, root) implies R(w) > R(root) (rank-query invariant),
-        so a hit always witnesses a higher-ranked vertex on a ≤delta path.
-        """
-        s = self.dist[:, root] + self.dist[:, v]
-        r = self.row_of.get(int(root))
-        if r is not None:
-            s = s.copy()
-            s[r] = INF
-        return bool((s <= delta).any())
-
-    def cover_vector(self, root: int) -> np.ndarray:
-        """Per-tree hoist of ``covered``: ``out[v]`` = min over top hubs
-        w ≠ root of d(w,root)+d(w,v); a pop then costs one scalar compare
-        (``out[v] <= delta``) instead of an η-row numpy reduction."""
+        so a hit always witnesses a higher-ranked vertex on a ≤delta path."""
         d = self.dist
         r = self.row_of.get(int(root))
         if r is not None:

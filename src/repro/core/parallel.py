@@ -19,7 +19,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.dijkstra import prune_dij_rq
-from repro.core.labels import CommonLabelTable, LabelStore
+from repro.core.labels import LabelStore
 from repro.graphs.csr import CSRGraph
 
 
@@ -27,18 +27,18 @@ def _n_slices(spark: SparkSession, n_items: int) -> int:
     return max(1, min(n_items, spark.sparkContext.defaultParallelism * 2))
 
 
-def spark_map(spark: SparkSession | None, fn, items, *shared, slices: int | None = None) -> list:
+def spark_map(spark: SparkSession | None, fn, items, *shared) -> list:
     """``[fn(x, *shared) for x in items]``, fanned out over Spark unless
     ``spark`` is None: each ``shared`` value travels once as a broadcast,
-    the items are split into ``slices`` tasks (default: twice the cores),
-    and ``collect`` returns the results in ``items`` order."""
+    the items are split into at most twice-the-cores tasks, and
+    ``collect`` returns the results in ``items`` order."""
     if spark is None:
         return [fn(x, *shared) for x in items]
     sc = spark.sparkContext
     bcs = [sc.broadcast(s) for s in shared]
     try:
         return (
-            sc.parallelize(items, slices or _n_slices(spark, len(items)))
+            sc.parallelize(items, _n_slices(spark, len(items)))
             .map(lambda x: fn(x, *(b.value for b in bcs)))
             .collect()
         )
@@ -55,19 +55,16 @@ def build_trees(
     visible: LabelStore,
     *,
     use_rank_queries: bool = True,
-    common: CommonLabelTable | None = None,
 ) -> list[tuple[int, list[tuple[int, int]]]]:
     """Construct pruned SPTs for ``roots`` against a frozen ``visible`` snapshot.
 
     Returns [(root, [(v, dist), ...])], in ``roots`` order.
     """
 
-    def tree(r, g, rank, visible, common):
-        return r, prune_dij_rq(
-            g, rank, r, visible, use_rank_queries=use_rank_queries, common=common
-        )
+    def tree(r, g, rank, visible):
+        return r, prune_dij_rq(g, rank, r, visible, use_rank_queries=use_rank_queries)
 
-    return spark_map(spark, tree, [int(r) for r in roots], g, rank, visible, common)
+    return spark_map(spark, tree, [int(r) for r in roots], g, rank, visible)
 
 
 def dq_clean(

@@ -36,6 +36,9 @@ from repro.dist.engine import (
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ranking import roots_by_rank
 
+#: Window growth factor β (paper §7.1).
+BETA = 8
+
 
 @dataclass
 class DistResult:
@@ -52,8 +55,7 @@ def run_windows(
     q: int,
     *,
     psi_th: float,
-    x1: int,
-    beta: float,
+    x1: int | None = None,
     eta: int,
     budget_bytes: int | None,
     deadline_s: float | None,
@@ -61,10 +63,11 @@ def run_windows(
 ) -> DistResult:
     """Label all roots over β-growing rank windows, one engine per window.
 
-    A window runs PLaNT while the previous PLaNT window's Ψ (vertices
-    explored per label) is ≤ ``psi_th``; Ψ before position 0 counts as 0.
-    After the first window over it, the rest runs DGLL with cleaning and
-    window growth restarts at ``x1``. So Ψ_th = −∞ is DGLL, +∞ is PLaNT
+    Windows start at ``x1`` roots (default max(16, q, η)). A window runs
+    PLaNT while the previous PLaNT window's Ψ (vertices explored per
+    label) is ≤ ``psi_th``; Ψ before position 0 counts as 0. After the
+    first window over it, the rest runs DGLL with cleaning and window
+    growth restarts at ``x1``. So Ψ_th = −∞ is DGLL, +∞ is PLaNT
     and a finite value is Hybrid. A finite Ψ_th also caps PLaNT windows
     at n/8, so the switch gets enough checkpoints before the tail is gone.
     The η top-ranked hubs' labels are replicated as the Common Label
@@ -72,6 +75,7 @@ def run_windows(
     """
     t0 = time.perf_counter()
     n = g.n
+    x1 = x1 or max(16, q, eta)
     top_hubs = [int(r) for r in roots_by_rank(rank)[:eta]]
     top = frozenset(top_hubs)
     cap = max(x1, n // 8) if math.isfinite(psi_th) else n
@@ -114,7 +118,7 @@ def run_windows(
                     apply_updates, {"doomed": doomed, "common_updates": common_updates}
                 )
                 check_budget(mems, budget_bytes)
-            pos, x, windows = pos + w, x * beta, windows + 1
+            pos, x, windows = pos + w, x * BETA, windows + 1
             if plant and psi_per_window[-1][2] > psi_th:
                 plant, x, switch_pos = False, x1, pos
         stats = cluster_stats(cluster)
@@ -138,7 +142,6 @@ def dgll(
     rank: np.ndarray,
     q: int,
     *,
-    beta: float = 8.0,
     x1: int | None = None,
     eta: int = 0,
     budget_bytes: int | None = None,
@@ -148,6 +151,6 @@ def dgll(
     """Full DGLL run over all roots. ``eta>0`` adds the Common Label Table
     (that variant is what Hybrid's second phase uses)."""
     return run_windows(
-        spark, g, rank, q, psi_th=-math.inf, x1=x1 or max(16, q, eta), beta=beta,
-        eta=eta, budget_bytes=budget_bytes, deadline_s=deadline_s, collect=collect,
+        spark, g, rank, q, psi_th=-math.inf, x1=x1, eta=eta,
+        budget_bytes=budget_bytes, deadline_s=deadline_s, collect=collect,
     )

@@ -26,18 +26,16 @@ def hybrid(
     *,
     psi_th: float = 100.0,
     eta: int = 16,
-    beta: float = 8.0,
     budget_bytes: int | None = None,
     deadline_s: float | None = None,
     collect: bool = True,
 ) -> DistResult:
     """Run the Hybrid algorithm on ``q`` simulated nodes.
 
-    Defaults follow the paper (§7.1): η=16, β=8, Ψ_th=100 for scale-free
-    graphs (callers pass 500 for road networks).
+    Defaults follow the paper (§7.1): η=16, Ψ_th=100 for scale-free
+    graphs (callers pass 500 for road networks); β=8 is ``dgll.BETA``.
     """
-    eta = min(eta, g.n)
     return run_windows(
-        spark, g, rank, q, psi_th=psi_th, x1=max(16, q, eta), beta=beta,
-        eta=eta, budget_bytes=budget_bytes, deadline_s=deadline_s, collect=collect,
+        spark, g, rank, q, psi_th=psi_th, eta=eta,
+        budget_bytes=budget_bytes, deadline_s=deadline_s, collect=collect,
     )

@@ -37,7 +37,6 @@ def dpara_pll(
     rank: np.ndarray,
     q: int,
     *,
-    n_syncs: int | None = None,
     budget_bytes: int | None = None,
     deadline_s: float | None = None,
     collect: bool = True,
@@ -48,8 +47,7 @@ def dpara_pll(
     """
     t0 = time.perf_counter()
     n = g.n
-    if n_syncs is None:
-        n_syncs = max(1, round(math.log(max(2, n)) / math.log(8)))
+    n_syncs = max(1, round(math.log(max(2, n)) / math.log(8)))  # ~log₈ n
     step = max(1, math.ceil(n / n_syncs))  # equal supersteps, unlike DGLL
     with node_cluster(spark, g, rank, q) as (cluster, get):
 

@@ -36,6 +36,6 @@ def plant_dist(
     Windows exist purely to timestamp Ψ; with eta=0 they cause no traffic.
     """
     return run_windows(
-        spark, g, rank, q, psi_th=math.inf, x1=max(16, q, eta), beta=8.0,
-        eta=eta, budget_bytes=None, deadline_s=deadline_s, collect=collect,
+        spark, g, rank, q, psi_th=math.inf, eta=eta,
+        budget_bytes=None, deadline_s=deadline_s, collect=collect,
     )

@@ -20,7 +20,6 @@ given our Python-speed query kernel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -30,13 +29,12 @@ from repro.core.parallel import spark_map
 from repro.core.query import QueryIndex
 
 
-@dataclass(frozen=True)
-class NetworkModel:
-    """Latency constants for the simulated interconnect (see module doc)."""
-
-    bcast_latency_s: float = 200e-6  # MPI_Bcast floor (paper ~20µs, ×10)
-    p2p_latency_s: float = 50e-6  # point-to-point round trip (paper ~5µs, ×10)
-    bandwidth_bps: float = 10e9
+#: Simulated interconnect (see module doc): the paper's MPI constants ×10.
+BCAST_LATENCY_S = 200e-6  # MPI_Bcast floor (paper ~20µs)
+P2P_LATENCY_S = 50e-6  # point-to-point round trip (paper ~5µs)
+BANDWIDTH_BPS = 10e9
+#: Queries timed one by one for the latency column.
+LATENCY_SAMPLE = 1000
 
 
 def zeta_for(q: int) -> int:
@@ -89,64 +87,66 @@ def qdol_indices(
 
 
 # --------------------------------------------------------------------- #
-# Batch answering (throughput path), Spark-parallel per mode.
+# Batch answering (throughput path): route, answer per node, min-reduce.
 # --------------------------------------------------------------------- #
-def _run_spark_batches(spark: SparkSession | None, tasks: list):
-    """tasks: [(key, QueryIndex, pairs ndarray)] → {key: answers ndarray}."""
-    return dict(
-        spark_map(spark, lambda t: (t[0], t[1].query_batch(t[2])), tasks, slices=len(tasks))
+def _serve(spark, tasks: list, n_pairs: int) -> tuple[np.ndarray, float]:
+    """Each task ``(index, pairs, at)`` is one node answering its pairs as
+    one ``spark_map`` task; the partial answers are min-reduced into an
+    INF-filled vector at positions ``at``. Returns (answers, reduce_s)."""
+    partials = spark_map(
+        spark, lambda t: t[0].query_batch(t[1]), [(idx, p) for idx, p, _ in tasks]
     )
+    t0 = time.perf_counter()
+    acc = np.full(n_pairs, INF, dtype=np.int64)
+    for (_, _, at), part in zip(tasks, partials):
+        acc[at] = np.minimum(acc[at], part)
+    return acc, time.perf_counter() - t0
 
 
 def answer_qlsn(spark, index: QueryIndex, pairs: np.ndarray) -> np.ndarray:
-    """One node answers the whole batch (single task)."""
-    return _run_spark_batches(spark, [(0, index, pairs)])[0]
+    """One node answers the whole batch."""
+    return _serve(spark, [(index, pairs, slice(None))], len(pairs))[0]
 
 
 def answer_qfdl(spark, shards: list[QueryIndex], pairs: np.ndarray) -> np.ndarray:
-    """Every node scans the whole batch over its shard; min-reduce."""
-    outs = _run_spark_batches(
-        spark, [(i, idx, pairs) for i, idx in enumerate(shards)]
-    )
-    acc = np.full(len(pairs), INF, dtype=np.int64)
-    for a in outs.values():
-        np.minimum(acc, a, out=acc)
-    return acc
+    """Every node answers the whole batch over its shard."""
+    return _serve(spark, [(s, pairs, slice(None)) for s in shards], len(pairs))[0]
 
 
 def answer_qdol(
     spark, zeta: int, nodes: dict, pairs: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Route each query to its pair-node; returns (answers, routing_s) —
-    routing_s is the measured sort + reassemble overhead (footnote 9)."""
+    """Each pair-node answers the queries routed to it; returns (answers,
+    routing_s) — routing_s is the measured sort + reassemble overhead
+    (footnote 9)."""
     t0 = time.perf_counter()
-    keys = [
-        qdol_node_of(int(u) % zeta, int(v) % zeta, zeta) for u, v in pairs
-    ]
     groups: dict[tuple[int, int], list[int]] = {}
-    for pos, k in enumerate(keys):
-        groups.setdefault(k, []).append(pos)
-    tasks = [
-        (k, nodes[k], pairs[np.asarray(posns)]) for k, posns in groups.items()
-    ]
-    routing_s = time.perf_counter() - t0
-    outs = _run_spark_batches(spark, tasks)
-    t0 = time.perf_counter()
-    acc = np.empty(len(pairs), dtype=np.int64)
+    for pos, (u, v) in enumerate(pairs.tolist()):
+        groups.setdefault(qdol_node_of(u % zeta, v % zeta, zeta), []).append(pos)
+    tasks = []
     for k, posns in groups.items():
-        acc[np.asarray(posns)] = outs[k]
-    routing_s += time.perf_counter() - t0
-    return acc, routing_s
+        at = np.asarray(posns)
+        tasks.append((nodes[k], pairs[at], at))
+    routing_s = time.perf_counter() - t0
+    ans, reduce_s = _serve(spark, tasks, len(pairs))
+    return ans, routing_s + reduce_s
 
 
 # --------------------------------------------------------------------- #
 # Full Table-4 evaluation.
 # --------------------------------------------------------------------- #
-def _per_query_compute_s(index: QueryIndex, sample: np.ndarray) -> float:
-    t0 = time.perf_counter()
-    for u, v in sample:
-        index.query(int(u), int(v))
-    return (time.perf_counter() - t0) / max(1, len(sample))
+def _latency_compute_s(sample: np.ndarray, reached) -> float:
+    """Mean per-query compute: query (u, v) is timed on every node in
+    ``reached(u, v)``, and the slowest counts since they answer in parallel."""
+    clock, total = time.perf_counter, 0.0
+    for u, v in sample.tolist():
+        worst = 0.0
+        for index in reached(u, v):
+            t0 = clock()
+            index.query(u, v)
+            worst = max(worst, clock() - t0)
+        total += worst
+    return total / max(1, len(sample))
 
 
 def evaluate_query_modes(
@@ -156,9 +156,7 @@ def evaluate_query_modes(
     q: int,
     pairs: np.ndarray,
     *,
-    net: NetworkModel = NetworkModel(),
     node_budget_bytes: int | None = None,
-    latency_sample: int = 1000,
 ) -> dict[str, dict]:
     """Measure throughput / latency / memory for the three §6 modes.
 
@@ -166,68 +164,50 @@ def evaluate_query_modes(
     ``node_budget_bytes`` reports ``supported=False`` (Table 4's "-")
     and is not executed. Answer vectors are returned so callers can
     assert all modes agree (and match ground truth via the oracle).
+    Latency is the modelled network time plus the compute of the first
+    ``LATENCY_SAMPLE`` queries on exactly the nodes each is sent to.
     """
     results: dict[str, dict] = {}
-    sample = pairs[: min(latency_sample, len(pairs))]
+    sample = pairs[:LATENCY_SAMPLE]
 
-    # ---- QLSN -------------------------------------------------------- #
+    def measure(mode, held, mem_total, run, reached, batch_net_s=0.0, query_net_s=0.0):
+        """``held``: the per-node indices; ``run()`` answers the batch;
+        ``reached(u, v)``: the nodes a query is sent to."""
+        per_node = max(idx.bytes() for idx in held)
+        supported = node_budget_bytes is None or per_node <= node_budget_bytes
+        r = results[mode] = {
+            "supported": supported,
+            "mem_per_node_bytes": per_node,
+            "mem_total_bytes": mem_total,
+        }
+        if supported:
+            t0 = time.perf_counter()
+            r["answers"] = run()
+            r["throughput_qps"] = len(pairs) / (time.perf_counter() - t0 + batch_net_s)
+            r["latency_s"] = query_net_s + _latency_compute_s(sample, reached)
+
     full = QueryIndex.from_store(store)
-    per_node = full.bytes()
-    supported = node_budget_bytes is None or per_node <= node_budget_bytes
-    r = {
-        "supported": supported,
-        "mem_per_node_bytes": per_node,
-        "mem_total_bytes": per_node * q,
-    }
-    if supported:
-        t0 = time.perf_counter()
-        ans = answer_qlsn(spark, full, pairs)
-        r["throughput_qps"] = len(pairs) / (time.perf_counter() - t0)
-        r["latency_s"] = _per_query_compute_s(full, sample)
-        r["answers"] = ans
-    results["QLSN"] = r
-
-    # ---- QFDL -------------------------------------------------------- #
+    measure(
+        "QLSN", [full], full.bytes() * q,
+        lambda: answer_qlsn(spark, full, pairs), lambda u, v: [full],
+    )
     shards = shard_by_hub_owner(store, rank, q)
-    per_node = max(s.bytes() for s in shards)
-    supported = node_budget_bytes is None or per_node <= node_budget_bytes
-    r = {
-        "supported": supported,
-        "mem_per_node_bytes": per_node,
-        "mem_total_bytes": sum(s.bytes() for s in shards),
-    }
-    if supported:
-        t0 = time.perf_counter()
-        ans = answer_qfdl(spark, shards, pairs)
-        wall = time.perf_counter() - t0
-        bcast_s = len(pairs) * 16 / net.bandwidth_bps  # 2×int64 per query
-        r["throughput_qps"] = len(pairs) / (wall + bcast_s)
-        shard_lat = max(_per_query_compute_s(s, sample) for s in shards)
-        # one broadcast out + one (modelled-as-bcast) min-reduce back
-        r["latency_s"] = 2 * net.bcast_latency_s + shard_lat
-        r["answers"] = ans
-    results["QFDL"] = r
-
-    # ---- QDOL -------------------------------------------------------- #
+    measure(
+        "QFDL", shards, sum(s.bytes() for s in shards),
+        lambda: answer_qfdl(spark, shards, pairs), lambda u, v: shards,
+        batch_net_s=len(pairs) * 16 / BANDWIDTH_BPS,  # 2×int64 per query, broadcast
+        query_net_s=2 * BCAST_LATENCY_S,  # broadcast out + min-reduce back (as a bcast)
+    )
     zeta, nodes = qdol_indices(store, q)
-    per_node = max(idx.bytes() for idx in nodes.values())
-    supported = node_budget_bytes is None or per_node <= node_budget_bytes
-    r = {
-        "supported": supported,
-        "zeta": zeta,
-        "mem_per_node_bytes": per_node,
-        "mem_total_bytes": sum(idx.bytes() for idx in nodes.values()),
-    }
-    if supported:
-        t0 = time.perf_counter()
-        ans, routing_s = answer_qdol(spark, zeta, nodes, pairs)
-        wall = time.perf_counter() - t0  # includes footnote-9 routing cost
-        r["throughput_qps"] = len(pairs) / wall
-        r["routing_s"] = routing_s
-        some = nodes[qdol_node_of(0, 1, zeta)]
-        r["latency_s"] = 2 * net.p2p_latency_s + _per_query_compute_s(
-            some, sample
-        )
-        r["answers"] = ans
-    results["QDOL"] = r
+
+    def qdol():  # the footnote-9 routing cost is inside the measured wall time
+        ans, results["QDOL"]["routing_s"] = answer_qdol(spark, zeta, nodes, pairs)
+        return ans
+
+    measure(
+        "QDOL", list(nodes.values()), sum(idx.bytes() for idx in nodes.values()),
+        qdol, lambda u, v: [nodes[qdol_node_of(u % zeta, v % zeta, zeta)]],
+        query_net_s=2 * P2P_LATENCY_S,
+    )
+    results["QDOL"]["zeta"] = zeta
     return results

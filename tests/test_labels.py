@@ -62,20 +62,21 @@ def test_common_table_covered():
     ct = CommonLabelTable(5, np.array([4, 3]))
     ct.add_hub_labels(4, [(0, 2), (1, 3), (4, 0)])
     ct.add_hub_labels(3, [(0, 7), (3, 0)])
+    cover = ct.cover_vector(0)
     # hub 4 covers (0,1) within 5 (2+3)
-    assert ct.covered(0, 1, 5)
-    assert not ct.covered(0, 1, 4)
+    assert cover[1] <= 5
+    assert not cover[1] <= 4
     # no hub knows vertex 2
-    assert not ct.covered(0, 2, 10**9)
+    assert not cover[2] <= 10**9
 
 
 def test_common_table_excludes_root_itself():
     ct = CommonLabelTable(3, np.array([2]))
     ct.add_hub_labels(2, [(0, 1), (1, 1), (2, 0)])
     # query rooted AT the top hub must ignore its own row
-    assert not ct.covered(2, 0, 10**9)
+    assert not ct.cover_vector(2)[0] <= 10**9
     # but other roots may be covered by hub 2
-    assert ct.covered(0, 1, 2)
+    assert ct.cover_vector(0)[1] <= 2
 
 
 def test_common_table_bytes():

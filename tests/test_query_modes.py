@@ -2,9 +2,13 @@
 import numpy as np
 import pytest
 
+import repro.dist.dgll as dgll_mod
+import repro.dist.query_modes as query_modes
 from repro.core.labels import INF, LABEL_BYTES
 from repro.core.pll import seq_pll
+from repro.core.query import QueryIndex
 from repro.core.reference import ground_truth_pairs
+from repro.dist.plant_dist import plant_dist
 from repro.dist.query_modes import (
     evaluate_query_modes,
     qdol_indices,
@@ -74,6 +78,57 @@ def test_qfdl_shards_partition_labels():
         for v in range(n):
             for h in s.hubs[v]:
                 assert int(n - 1 - rank[h]) % q == i
+
+
+@pytest.mark.parametrize("name", ["CAL", "SKIT"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_qfdl_shards_are_the_build_partition(name, q, monkeypatch):
+    """Shard i of the QFDL layout is exactly node i's label shard after a
+    distributed build: the two owner rules agree."""
+    g, rank = graph(name), rank_of(name)
+    built = {}
+
+    def spy(cluster, n, rank):  # the driver's last look at the live shards
+        built.update(cluster.map_states(lambda i, st: st.store.canonical_set()))
+        return collect_store(cluster, n, rank)
+
+    collect_store = dgll_mod.collect_store
+    monkeypatch.setattr(dgll_mod, "collect_store", spy)
+    store = plant_dist(None, g, rank, q).store
+    shards = shard_by_hub_owner(store, rank, q)
+    assert sorted(built) == list(range(q))
+    for i, shard in enumerate(shards):
+        assert shard.canonical_set() == built[i], i
+
+
+def test_qdol_nodes_answer_only_their_own_pairs(monkeypatch):
+    """Every query a QDOL node receives, in the batch and in the latency
+    sample, is for a pair whose two partitions that node holds."""
+    name, q = "CAL", 4
+    nodes = {}
+
+    def spy_indices(store, q):
+        zeta, built = qdol_indices(store, q)
+        nodes.update(built)
+        return zeta, built
+
+    asked = []
+    query = QueryIndex.query
+
+    def spy_query(self, u, v):
+        asked.append((self, u, v))
+        return query(self, u, v)
+
+    monkeypatch.setattr(query_modes, "qdol_indices", spy_indices)
+    monkeypatch.setattr(QueryIndex, "query", spy_query)
+    pairs = query_pairs(n=graph(name).n, n_queries=300, seed=3).values
+    res = evaluate_query_modes(None, chl(name), rank_of(name), q, pairs)
+    zeta = res["QDOL"]["zeta"]
+    key_of = {id(idx): k for k, idx in nodes.items()}
+    got = [(key_of[id(idx)], u, v) for idx, u, v in asked if id(idx) in key_of]
+    assert len(got) == 2 * len(pairs)  # the batch, then the whole pairs as sample
+    for key, u, v in got:
+        assert key == qdol_node_of(u % zeta, v % zeta, zeta), (key, u, v)
 
 
 def test_qdol_pairs_cover_all_partitions():
