@@ -27,11 +27,11 @@ from repro.dist.engine import (
     apply_updates,
     check_budget,
     clean_fn,
-    cluster_stats,
     collect_store,
     construct_fn,
     node_cluster,
     out_of_time,
+    read_nodes,
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ranking import roots_by_rank
@@ -121,18 +121,16 @@ def run_windows(
             pos, x, windows = pos + w, x * BETA, windows + 1
             if plant and psi_per_window[-1][2] > psi_th:
                 plant, x, switch_pos = False, x1, pos
-        stats = cluster_stats(cluster)
+        stats, shards = read_nodes(cluster, lambda i, st: st.store.triplets() if collect else None)
         stats.update(
             psi_per_window=psi_per_window,
             timed_out=timed_out,
-            next_pos=pos,
             switch_pos=pos if switch_pos is None else switch_pos,
-            switched=bool(switch_pos),
             supersteps=windows,
+            als=stats["labels_total"] / max(n, 1),
             time_s=time.perf_counter() - t0,
         )
-        store = collect_store(cluster, n, rank) if collect else None
-        stats["als"] = store.als() if store is not None else stats["labels_total"] / n
+        store = collect_store(shards, n, rank) if collect else None
         return DistResult(store, stats)
 
 

@@ -176,30 +176,27 @@ def check_budget(mems: dict, budget_bytes: int | None) -> None:
         )
 
 
-def collect_store(cluster, n: int, rank: np.ndarray) -> LabelStore:
-    """Assemble the partitioned labeling into one store (test/query path;
-    not metered — the paper never materialises this during construction)."""
-    shards = cluster.map_states(lambda i, st: st.store.triplets())
-    store = LabelStore(n)
-    for t in shards.values():
-        store.commit(t, rank)
-    return store
-
-
-def cluster_stats(cluster) -> dict:
+def read_nodes(cluster, keep) -> tuple[dict, dict]:
+    """A run's one read of its nodes, after its last superstep: the run's
+    stats from the node counters, and ``{node: keep(node, state)}``, what
+    the driver keeps of each node."""
     per_node = cluster.map_states(
-        lambda i, st: {
-            "work_s": st.work_s,
-            "mem": st.mem_bytes(),
-            "labels": st.store.num_labels(),
-            "explored": st.explored,
-        }
+        lambda i, st: (st.work_s, st.mem_bytes(), st.store.num_labels(), st.explored, keep(i, st))
     )
-    return {
-        "work_makespan_s": max(v["work_s"] for v in per_node.values()),
-        "work_total_s": sum(v["work_s"] for v in per_node.values()),
-        "mem_max_node": max(v["mem"] for v in per_node.values()),
-        "labels_total": sum(v["labels"] for v in per_node.values()),
-        "explored_total": sum(v["explored"] for v in per_node.values()),
+    work, mem, labels, explored, kept = zip(*per_node.values())
+    stats = {
+        "work_makespan_s": max(work),
+        "work_total_s": sum(work),
+        "mem_max_node": max(mem),
+        "labels_total": sum(labels),
+        "explored_total": sum(explored),
         "comm": cluster.comm.as_dict(),
     }
+    return stats, dict(zip(per_node, kept))
+
+
+def collect_store(shards: dict, n: int, rank: np.ndarray) -> LabelStore:
+    """Assemble the node shards ``{node: triplets}`` into one store on the
+    driver (test/query path; not metered — the paper never materialises
+    this during construction)."""
+    return LabelStore.from_triplets(n, (t for s in shards.values() for t in s), rank)

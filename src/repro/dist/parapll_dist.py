@@ -23,10 +23,10 @@ from repro.dist.dgll import DistResult
 from repro.dist.engine import (
     NodeState,
     check_budget,
-    cluster_stats,
     my_roots,
     node_cluster,
     out_of_time,
+    read_nodes,
 )
 from repro.graphs.csr import CSRGraph
 
@@ -82,17 +82,15 @@ def dpara_pll(
             cluster.gather(outs)
             check_budget(cluster.superstep(merge_fn, outs), budget_bytes)  # full label exchange
             pos += step
-        stats = cluster_stats(cluster)
-        # every replica holds the whole labeling after each merge
+        # every replica holds the whole labeling, in rank order, after each
+        # merge: the driver keeps node 0's
+        stats, kept = read_nodes(cluster, lambda i, st: st.store if collect and i == 0 else None)
         labels_total = stats["labels_total"] // q
         stats.update(
             labels_total=labels_total,
             time_s=time.perf_counter() - t0,
             timed_out=timed_out,
             supersteps=pos // step,  # windows actually run
-            als=labels_total / n,
+            als=labels_total / max(n, 1),
         )
-        store = None
-        if collect:  # node 0's replica is the whole labeling, in rank order
-            store = cluster.map_states(lambda i, st: st.store if i == 0 else None)[0]
-        return DistResult(store, stats)
+        return DistResult(kept[0], stats)

@@ -66,12 +66,15 @@ def from_edges(n: int, src, dst, w) -> CSRGraph:
 
     Parallel edges are collapsed to the minimum weight; self-loops are
     dropped (they never lie on a shortest path with positive weights).
-    Raises ValueError if the kept weights sum to ``INF`` or more, since a
-    real path could then read as unreachable.
+    Raises ValueError if a vertex id lies outside ``[0, n)`` or if the
+    kept weights sum to ``INF`` or more, since a real path could then read
+    as unreachable.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
+    if any(((e < 0) | (e >= n)).any() for e in (src, dst)):
+        raise ValueError(f"vertex ids must lie in [0, {n})")
     if np.any(w <= 0):
         raise ValueError("edge weights must be positive integers")
     keep = src != dst

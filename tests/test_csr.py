@@ -1,5 +1,6 @@
 """Unit tests for the CSR graph substrate."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.labels import INF
@@ -41,6 +42,16 @@ def test_positive_weight_enforced():
         from_edges(2, [0], [1], [0])
     with pytest.raises(ValueError):
         from_edges(2, [0], [1], [-2])
+
+
+def test_vertex_ids_must_be_in_range():
+    """An id outside [0, n) is an error, not a corrupt CSR or an IndexError."""
+    for src, dst in (([-1], [1]), ([0], [3]), ([3], [0]), ([0, 1], [1, -2])):
+        with pytest.raises(ValueError, match="vertex ids"):
+            from_edges(3, src, dst, [1] * len(src))
+    with pytest.raises(ValueError, match="vertex ids"):
+        from_edge_pandas(pd.DataFrame({"src": [0, 5], "dst": [1, 2], "w": [1, 1]}), n=3)
+    assert from_edges(3, [0, 2], [2, 1], [1, 1]).n == 3
 
 
 def test_total_weight_below_inf():

@@ -110,9 +110,9 @@ def test_label_partitioning_invariant(monkeypatch):
     g, rank = graph(name), rank_of(name)
     shards = {}
 
-    def spy(cluster, n, rank):  # the driver's last look at the live shards
-        shards.update(cluster.map_states(lambda i, st: st.store.triplets()))
-        return collect_store(cluster, n, rank)
+    def spy(read, n, rank):  # the shards the driver read off the nodes
+        shards.update(read)
+        return collect_store(read, n, rank)
 
     collect_store = dgll_mod.collect_store
     monkeypatch.setattr(dgll_mod, "collect_store", spy)

@@ -88,9 +88,9 @@ def test_qfdl_shards_are_the_build_partition(name, q, monkeypatch):
     g, rank = graph(name), rank_of(name)
     built = {}
 
-    def spy(cluster, n, rank):  # the driver's last look at the live shards
-        built.update(cluster.map_states(lambda i, st: st.store.canonical_set()))
-        return collect_store(cluster, n, rank)
+    def spy(read, n, rank):  # the shards the driver read off the nodes
+        built.update({i: frozenset(t) for i, t in read.items()})
+        return collect_store(read, n, rank)
 
     collect_store = dgll_mod.collect_store
     monkeypatch.setattr(dgll_mod, "collect_store", spy)
