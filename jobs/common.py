@@ -50,7 +50,7 @@ def chl_cached(name: str, scale: float = 1.0):
     if f.exists():
         t = np.load(f)["triplets"]
         # tolist(): labels hold Python ints, as every construction's do
-        return g, rank, LabelStore.from_triplets(g.n, t.tolist(), rank)
+        return g, rank, LabelStore.from_triplets(g.n, t.tolist())
     store, _ = seq_pll(g, rank)
     np.savez_compressed(f, triplets=np.array(store.triplets(), dtype=np.int64))
     return g, rank, store

@@ -65,7 +65,7 @@ def construct_and_clean(
         # already-committed hubs were consulted during construction, so
         # they cannot witness a surviving label (see find_redundant doc).
         witness = (
-            LabelStore.from_triplets(n, candidates, rank) if local_only else store
+            LabelStore.from_triplets(n, candidates) if local_only else store
         )
         doomed = find_redundant(spark, witness, candidates, rank)
         if doomed:
@@ -97,7 +97,7 @@ def construct_and_clean(
         )
         new = [(v, root, d) for root, labels in results for v, d in labels]
         label_rate = len(new) / max(1, len(batch))
-        store.commit(new, rank)
+        store.commit(new)
         local.extend(new)
         stats["labels_generated"] += len(new)
         stats["trees"] += len(batch)

@@ -29,9 +29,9 @@ LABEL_BYTES = 8
 class LabelStore:
     """Per-vertex hub labels for ``n`` vertices.
 
-    ``hubs[v]`` / ``dists[v]`` are parallel Python lists, kept sorted by
-    *decreasing hub rank* (see ``commit``). That invariant makes cleaning
-    queries and canonical comparisons cheap.
+    ``hubs[v]`` / ``dists[v]`` are parallel Python lists in append order.
+    No reader depends on that order: distance queries, PPSD queries and
+    cleaning all probe a hub→dist dict.
     """
 
     n: int
@@ -62,26 +62,11 @@ class LabelStore:
         return zip(self.hubs[v], self.dists[v])
 
     # ------------------------------------------------------------------ #
-    def commit(self, triplets, rank: np.ndarray) -> None:
-        """Insert (v, hub, dist) triplets, preserving rank-descending order.
-
-        Construction commits batches in decreasing hub-rank order, so the
-        merge is effectively an append; a full merge-sort per touched
-        vertex keeps the invariant even for out-of-order commits.
-        """
-        touched = set()
+    def commit(self, triplets) -> None:
+        """Append (v, hub, dist) triplets to their vertices' lists."""
         for v, h, d in triplets:
             self.hubs[v].append(h)
             self.dists[v].append(d)
-            touched.add(v)
-        for v in touched:
-            hs, ds = self.hubs[v], self.dists[v]
-            if len(hs) > 1 and any(
-                rank[hs[i]] < rank[hs[i + 1]] for i in range(len(hs) - 1)
-            ):
-                order = sorted(range(len(hs)), key=lambda i: -rank[hs[i]])
-                self.hubs[v] = [hs[i] for i in order]
-                self.dists[v] = [ds[i] for i in order]
 
     def delete(self, doomed: set[tuple[int, int]]) -> int:
         """Remove labels identified by (vertex, hub); returns count removed."""
@@ -113,9 +98,9 @@ class LabelStore:
         return frozenset(self.triplets())
 
     @staticmethod
-    def from_triplets(n: int, triplets, rank: np.ndarray) -> "LabelStore":
+    def from_triplets(n: int, triplets) -> "LabelStore":
         store = LabelStore(n)
-        store.commit(list(triplets), rank)
+        store.commit(list(triplets))
         return store
 
 

@@ -73,27 +73,16 @@ def dq_clean(
     """Alg. 2's DQ_Clean: is label (h, delta) of v redundant?
 
     True iff some common hub w of L_v and L_h with R(w) > R(h) satisfies
-    d(v,w) + d(h,w) ≤ delta. Both label lists are sorted by decreasing
-    hub rank, so a two-pointer merge stops as soon as ranks fall to R(h)
-    (the paper's footnote-3 early exit).
+    d(v,w) + d(h,w) ≤ delta. Label lists are in append order, so L_h
+    becomes a hub→dist dict, L_v probes it, and rank is checked only on
+    a hit that is short enough.
     """
     rh = rank[h]
-    i = j = 0
-    nv, nh = len(hubs_v), len(hubs_h)
-    while i < nv and j < nh:
-        wv, wh = hubs_v[i], hubs_h[j]
-        rv, rw = rank[wv], rank[wh]
-        if rv <= rh or rw <= rh:
-            return False
-        if wv == wh:
-            if dists_v[i] + dists_h[j] <= delta:
-                return True
-            i += 1
-            j += 1
-        elif rv > rw:
-            i += 1
-        else:
-            j += 1
+    dist_h = dict(zip(hubs_h, dists_h))
+    for w, d in zip(hubs_v, dists_v):
+        e = dist_h.get(w)
+        if e is not None and d + e <= delta and rank[w] > rh:
+            return True
     return False
 
 

@@ -37,7 +37,7 @@ def seq_pll(
             timed_out = True
             break
         labels = prune_dij_rq(g, rank, int(root), store)
-        store.commit([(v, int(root), d) for v, d in labels], rank)
+        store.commit([(v, int(root), d) for v, d in labels])
         trees += 1
     return store, {
         "time_s": time.perf_counter() - t0,

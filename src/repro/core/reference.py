@@ -43,7 +43,7 @@ def brute_chl(g: CSRGraph, rank: np.ndarray, dist: np.ndarray | None = None) -> 
             label_set[(u, hm)] = int(du[hm])
             label_set[(v, hm)] = int(dist[v][hm])
     store = LabelStore(n)
-    store.commit([(v, h, d) for (v, h), d in label_set.items()], rank)
+    store.commit([(v, h, d) for (v, h), d in label_set.items()])
     return store
 
 

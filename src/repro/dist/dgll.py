@@ -130,7 +130,7 @@ def run_windows(
             als=stats["labels_total"] / max(n, 1),
             time_s=time.perf_counter() - t0,
         )
-        store = collect_store(shards, n, rank) if collect else None
+        store = collect_store(shards, n) if collect else None
         return DistResult(store, stats)
 
 

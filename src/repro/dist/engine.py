@@ -91,7 +91,7 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset()):
             else:
                 labels = prune_dij_rq(g, rank, root, st.store, common=st.common)
                 explored_window += len(labels)
-            st.store.commit([(v, root, d) for v, d in labels], rank)
+            st.store.commit([(v, root, d) for v, d in labels])
             new.extend((v, root, d) for v, d in labels)
         st.explored += explored_window
         st.work_s += time.perf_counter() - t0
@@ -195,8 +195,8 @@ def read_nodes(cluster, keep) -> tuple[dict, dict]:
     return stats, dict(zip(per_node, kept))
 
 
-def collect_store(shards: dict, n: int, rank: np.ndarray) -> LabelStore:
+def collect_store(shards: dict, n: int) -> LabelStore:
     """Assemble the node shards ``{node: triplets}`` into one store on the
     driver (test/query path; not metered — the paper never materialises
     this during construction)."""
-    return LabelStore.from_triplets(n, (t for s in shards.values() for t in s), rank)
+    return LabelStore.from_triplets(n, (t for s in shards.values() for t in s))

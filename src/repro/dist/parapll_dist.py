@@ -58,16 +58,15 @@ def dpara_pll(
             t_in = time.perf_counter()
             for gidx, root in my_roots(order, pos, x, q, node_id):
                 labels = prune_dij_rq(gr, rk, root, st.store, use_rank_queries=False)
-                st.store.commit([(v, root, d) for v, d in labels], rk)
+                st.store.commit([(v, root, d) for v, d in labels])
                 new.extend((v, root, d) for v, d in labels)
             st.work_s += time.perf_counter() - t_in
             return st, new
 
         def merge_fn(node_id, st: NodeState, payload):
-            gr, rk, order = get()
             for src, triplets in payload.items():
                 if src != node_id:
-                    st.store.commit(triplets, rk)
+                    st.store.commit(triplets)
             return st, st.mem_bytes()
 
         timed_out = False
@@ -82,8 +81,8 @@ def dpara_pll(
             cluster.gather(outs)
             check_budget(cluster.superstep(merge_fn, outs), budget_bytes)  # full label exchange
             pos += step
-        # every replica holds the whole labeling, in rank order, after each
-        # merge: the driver keeps node 0's
+        # every replica holds the whole labeling after each merge (in append
+        # order, which no reader depends on): the driver keeps node 0's
         stats, kept = read_nodes(cluster, lambda i, st: st.store if collect and i == 0 else None)
         labels_total = stats["labels_total"] // q
         stats.update(

@@ -56,7 +56,7 @@ def qdol_node_of(pu: int, pv: int, zeta: int) -> tuple[int, int]:
 def shard_by_hub_owner(store: LabelStore, rank: np.ndarray, q: int) -> list[QueryIndex]:
     """QFDL layout: label (v, h, d) lives on node (rank-index of h) mod q —
     the node that generated SPT_h under circular task assignment.
-    Filtering each vertex's lists keeps their rank order."""
+    Each shard keeps the store's per-vertex append order."""
     n = store.n
     owner = ((n - 1 - np.asarray(rank)) % q).tolist()
     shards = [QueryIndex(n) for _ in range(q)]

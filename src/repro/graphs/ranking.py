@@ -87,8 +87,13 @@ def rank_for(g: CSRGraph, kind: str) -> np.ndarray:
 
 
 def roots_by_rank(rank: np.ndarray) -> np.ndarray:
-    """Vertices in decreasing rank — the SPT construction order."""
+    """Vertices in decreasing rank — the SPT construction order.
+
+    Raises ``ValueError`` unless ``rank`` is a permutation of range(n)."""
+    rank = np.asarray(rank)
     n = len(rank)
+    if not np.array_equal(np.sort(rank), np.arange(n)):
+        raise ValueError("rank must be a permutation of range(len(rank))")
     order = np.empty(n, dtype=np.int64)
     order[n - 1 - rank] = np.arange(n)
     return order

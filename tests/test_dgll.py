@@ -110,9 +110,9 @@ def test_label_partitioning_invariant(monkeypatch):
     g, rank = graph(name), rank_of(name)
     shards = {}
 
-    def spy(read, n, rank):  # the shards the driver read off the nodes
+    def spy(read, n):  # the shards the driver read off the nodes
         shards.update(read)
-        return collect_store(read, n, rank)
+        return collect_store(read, n)
 
     collect_store = dgll_mod.collect_store
     monkeypatch.setattr(dgll_mod, "collect_store", spy)

@@ -89,7 +89,7 @@ def test_sequential_trees_equal_brute_chl(name):
     store = LabelStore(g.n)
     for root in roots_by_rank(rank):
         labels = prune_dij_rq(g, rank, int(root), store)
-        store.commit([(v, int(root), d) for v, d in labels], rank)
+        store.commit([(v, int(root), d) for v, d in labels])
     assert store.canonical_set() == chl_set(name)
 
 
@@ -104,7 +104,7 @@ def test_label_distances_exact_under_full_info(seed):
         labels = prune_dij_rq(g, rank, int(root), store)
         for v, d in labels:
             assert d == truth[int(root)][v]
-        store.commit([(v, int(root), d) for v, d in labels], rank)
+        store.commit([(v, int(root), d) for v, d in labels])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -115,7 +115,7 @@ def test_hub_rank_invariant(seed):
     store = LabelStore(g.n)
     for root in roots_by_rank(rank):
         labels = prune_dij_rq(g, rank, int(root), store)
-        store.commit([(v, int(root), d) for v, d in labels], rank)
+        store.commit([(v, int(root), d) for v, d in labels])
     for v in range(g.n):
         for h, _ in store.labels_of(v):
             assert rank[h] >= rank[v]

@@ -11,44 +11,40 @@ from repro.core.labels import (
 )
 
 
-def _rank(n):
-    return np.arange(n, dtype=np.int64)  # vertex id == rank
-
-
 def test_commit_and_counts():
     s = LabelStore(3)
-    s.commit([(0, 2, 5), (1, 2, 1), (0, 1, 2)], _rank(3))
+    s.commit([(0, 2, 5), (1, 2, 1), (0, 1, 2)])
     assert s.num_labels() == 3
     assert s.als() == 1.0
     assert s.bytes() == 3 * LABEL_BYTES
 
 
-def test_commit_keeps_rank_descending():
+def test_commit_appends_in_call_order():
     s = LabelStore(2)
-    s.commit([(0, 1, 7)], _rank(4))
-    s.commit([(0, 3, 2)], _rank(4))  # out-of-order commit triggers re-sort
-    assert s.hubs[0] == [3, 1]
-    assert s.dists[0] == [2, 7]
+    s.commit([(0, 1, 7)])
+    s.commit([(0, 3, 2), (1, 0, 4), (0, 2, 5)])  # any hub order is kept as given
+    assert s.hubs[0] == [1, 3, 2]
+    assert s.dists[0] == [7, 2, 5]
+    assert s.hubs[1] == [0] and s.dists[1] == [4]
 
 
 def test_hash_and_labels_of():
     s = LabelStore(2)
-    s.commit([(1, 0, 4), (1, 1, 0)], _rank(2))
+    s.commit([(1, 0, 4), (1, 1, 0)])
     assert dict(s.labels_of(1)) == {0: 4, 1: 0}
 
 
 def test_delete():
     s = LabelStore(2)
-    s.commit([(0, 1, 1), (0, 0, 0), (1, 1, 0)], _rank(2))
+    s.commit([(0, 1, 1), (0, 0, 0), (1, 1, 0)])
     removed = s.delete({(0, 1), (1, 0)})  # second pair doesn't exist
     assert removed == 1
     assert s.canonical_set() == frozenset({(0, 0, 0), (1, 1, 0)})
 
 
 def test_triplets_roundtrip():
-    r = _rank(5)
     t = [(0, 4, 3), (2, 3, 1), (4, 4, 0)]
-    s = LabelStore.from_triplets(5, t, r)
+    s = LabelStore.from_triplets(5, t)
     assert s.canonical_set() == frozenset(t)
     pdf = s.to_pandas()
     assert set(pdf.columns) == {"v", "hub", "dist"} and len(pdf) == 3

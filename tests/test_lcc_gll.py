@@ -67,6 +67,21 @@ def test_cleaning_removes_exactly_the_redundant():
     assert store.canonical_set() == chl_set(name)
 
 
+def test_cleaning_ignores_label_order():
+    """Reversing every vertex's lists of the uncleaned labeling leaves the
+    redundant set unchanged: cleaning reads no order from the store."""
+    name = "POK"
+    g, rank = graph(name), rank_of(name)
+    store, _ = construct_and_clean(None, g, rank, p=16, alpha=None, clean=False)
+    cands = store.triplets()
+    doomed = find_redundant(None, store, cands, rank)
+    assert doomed
+    for v in range(store.n):
+        store.hubs[v].reverse()
+        store.dists[v].reverse()
+    assert find_redundant(None, store, cands, rank) == doomed
+
+
 def test_dq_clean_basic():
     # L_v = [(9, 2), (5, 4)], L_h(h=5) = [(9, 3), (5, 0)], rank = identity
     rank = np.arange(10)

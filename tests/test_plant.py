@@ -25,7 +25,7 @@ def plant_all(g, rank, common=None):
     explored = 0
     for r in roots_by_rank(rank):
         labels, ex = plant_dijkstra(g, rank, int(r), common=common)
-        store.commit([(v, int(r), d) for v, d in labels], rank)
+        store.commit([(v, int(r), d) for v, d in labels])
         explored += ex
     return store, explored
 
@@ -109,7 +109,7 @@ def test_common_table_pruning_preserves_chl(name):
     for j, r in enumerate(order):
         common = ct if j >= eta else None  # table complete only after top-η
         labels, _ = plant_dijkstra(g, rank, int(r), common=common)
-        store.commit([(v, int(r), d) for v, d in labels], rank)
+        store.commit([(v, int(r), d) for v, d in labels])
         if int(r) in top:
             ct.add_hub_labels(int(r), labels)
     assert store.canonical_set() == chl_set(name)

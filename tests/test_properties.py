@@ -51,7 +51,7 @@ def test_plant_is_canonical(gr):
     store = LabelStore(g.n)
     for r in roots_by_rank(rank):
         labels, _ = plant_dijkstra(g, rank, int(r))
-        store.commit([(v, int(r), d) for v, d in labels], rank)
+        store.commit([(v, int(r), d) for v, d in labels])
     assert store.canonical_set() == brute_chl(g, rank).canonical_set()
 
 

@@ -42,7 +42,7 @@ def test_unreachable_pair_inf():
 
 
 def _index(n, triplets):
-    return QueryIndex.from_store(LabelStore.from_triplets(n, triplets, np.arange(n)))
+    return QueryIndex.from_store(LabelStore.from_triplets(n, triplets))
 
 
 def test_partial_index_returns_partial_min():

@@ -88,9 +88,9 @@ def test_qfdl_shards_are_the_build_partition(name, q, monkeypatch):
     g, rank = graph(name), rank_of(name)
     built = {}
 
-    def spy(read, n, rank):  # the shards the driver read off the nodes
+    def spy(read, n):  # the shards the driver read off the nodes
         built.update({i: frozenset(t) for i, t in read.items()})
-        return collect_store(read, n, rank)
+        return collect_store(read, n)
 
     collect_store = dgll_mod.collect_store
     monkeypatch.setattr(dgll_mod, "collect_store", spy)

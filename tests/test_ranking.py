@@ -63,6 +63,23 @@ def test_roots_by_rank_is_inverse():
     assert (np.diff(r[order]) < 0).all()
 
 
+@pytest.mark.parametrize("rank", [[0, 0, 1], [3, 1, 2], [2, 2, 0], [-1, 0, 1]])
+def test_roots_by_rank_rejects_non_permutation(rank):
+    with pytest.raises(ValueError):
+        roots_by_rank(np.array(rank))
+
+
+def test_seq_pll_rejects_non_permutation_rank():
+    """A repeated rank would make the labeling non-canonical (a 3-path
+    with rank [2, 2, 0] got the self-label (1, 1, 0) twice)."""
+    from repro.core.pll import seq_pll
+    from repro.graphs.csr import from_edges
+
+    g = from_edges(3, [0, 1], [1, 2], [1, 1])
+    with pytest.raises(ValueError):
+        seq_pll(g, np.array([2, 2, 0]))
+
+
 @pytest.mark.parametrize("kind,fn", [("road", "betweenness"), ("scalefree", "degree")])
 def test_rank_for_dispatch(kind, fn):
     g = graph("CAL") if kind == "road" else graph("SKIT")

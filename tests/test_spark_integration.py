@@ -33,7 +33,7 @@ def test_spark_build_trees_equals_serial(spark, use_rank_queries):
     order = [int(r) for r in roots_by_rank(rank)]
     top = set(order[: g.n // 4])
     snapshot = [t for t in chl(name).triplets() if t[1] in top]
-    visible = LabelStore.from_triplets(g.n, snapshot, rank)
+    visible = LabelStore.from_triplets(g.n, snapshot)
     roots = order[::-1]  # not the rank order, so the order is checked too
     args = (g, rank, roots, visible)
     trees = build_trees(spark, *args, use_rank_queries=use_rank_queries)
@@ -53,7 +53,7 @@ def test_spark_find_redundant_equals_serial(spark):
     m, n = -(-50_000 // len(one)), g.n
     ranks = np.concatenate([rank + c * n for c in range(m)])
     cands = [(v + c * n, h + c * n, d) for c in range(m) for v, h, d in one]
-    witness = LabelStore.from_triplets(m * n, cands, ranks)
+    witness = LabelStore.from_triplets(m * n, cands)
     doomed = find_redundant(spark, witness, cands, ranks)
     assert doomed == find_redundant(None, witness, cands, ranks)
     once = find_redundant(None, store, one, rank)
