@@ -9,6 +9,8 @@ The driver plays the MPI runtime: payloads move as Spark broadcasts
 redundancy bitvectors are OR-combined on the driver (MPI_Allreduce).
 Every such event is metered in ``CommCounter`` — the paper's scalability
 story is precisely about this traffic (§5.2: PLaNT's zero label traffic).
+As in BSP, a message costs no job of its own: what ``broadcast`` meters
+rides in the next superstep's payload (or in the final ``map_states``).
 
 ``spark=None`` degrades to an in-process list of node states running the
 same superstep functions serially — used by fast unit tests; the Spark
@@ -71,17 +73,9 @@ class SimCluster:
             )
 
     # ------------------------------------------------------------------ #
-    def superstep(self, fn, payload=None, *, broadcast_payload=True) -> dict:
-        """Run ``fn`` on every node as one Spark job; meter payload
-        delivery if requested.
-
-        ``broadcast_payload=False`` marks driver-side orchestration data
-        (e.g. root-id ranges) that the paper does not count as label
-        traffic — node ids and rank metadata are replicated at load time.
-        """
-        if payload is not None and broadcast_payload:
-            self.comm.broadcast_bytes += payload_bytes(payload) * self.q
-            self.comm.n_syncs += 1
+    def superstep(self, fn, payload=None) -> dict:
+        """Run ``fn`` on every node as one Spark job. The payload is not
+        metered: its label traffic went through ``broadcast``."""
         if self.spark is None:
             outs = {}
             for i in range(self.q):
@@ -96,6 +90,13 @@ class SimCluster:
         pay_bc.unpersist()  # the driver keeps the value for recomputes
         self._rdd = new_rdd
         return outs
+
+    def broadcast(self, payload):
+        """Meter one delivery of ``payload`` to every node (MPI_Bcast) and
+        return it, to go in the next superstep's payload."""
+        self.comm.broadcast_bytes += payload_bytes(payload) * self.q
+        self.comm.n_syncs += 1
+        return payload
 
     def gather(self, outs: dict) -> dict:
         """Meter node→driver movement of superstep outputs (MPI_Gather)."""
@@ -118,7 +119,7 @@ class SimCluster:
 
     # ------------------------------------------------------------------ #
     def map_states(self, fn) -> dict:
-        """Read-only pass over node states (not metered; local analytics)."""
+        """A run's last pass over node states (not metered; on Spark, changes are lost)."""
         if self.spark is None:
             return {i: fn(i, st) for i, st in self._states.items()}
         return dict(self._rdd.map(lambda kv: (kv[0], fn(kv[0], kv[1][0]))).collect())

@@ -6,8 +6,9 @@ are partitioned — optimisation 1), so early supersteps generate heavy
 redundancy. Supersteps grow by a factor β (optimisation 2); at each
 boundary the superstep's labels are broadcast, every node answers the
 cleaning queries it can (bitvector), the bitvectors are all-reduced, and
-owners drop the redundant labels. The final labeling is the CHL; the
-cost is the metered label broadcast traffic that limits DGLL's scaling.
+owners drop the redundant labels as the next superstep starts. The final
+labeling is the CHL; the cost is the metered label broadcast traffic
+that limits DGLL's scaling.
 
 ``run_windows`` here is the one windowed driver behind DGLL, distributed
 PLaNT and Hybrid: the three differ only in the Ψ threshold at which the
@@ -86,6 +87,7 @@ def run_windows(
         switch_pos = None if plant else 0
         psi_per_window = []
         pos, x, windows, timed_out = 0, x1, 0, False
+        updates = None  # the last window's, applied by the next superstep
         while pos < n:
             if out_of_time(t0, deadline_s):
                 timed_out = True
@@ -93,9 +95,9 @@ def run_windows(
             w = min(int(x), n - pos, cap if plant else n)
             outs = cluster.superstep(
                 build["plant" if plant else "dgll"],
-                {"pos": pos, "x": w, "q": q},
-                broadcast_payload=False,
+                {"pos": pos, "x": w, "q": q, "updates": updates},
             )
+            check_budget({i: o.pop("mem") for i, o in outs.items()}, budget_bytes)
             new = [t for o in outs.values() for t in o["new"]]
             if top_hubs or not plant:
                 cluster.gather(outs)  # labels leave their nodes: metered
@@ -105,7 +107,7 @@ def run_windows(
                 n_new = sum(o["n_labels"] for o in outs.values())
                 psi_per_window.append((pos, w, explored / max(1, n_new)))
             elif new:  # DGLL cleaning: label broadcast + bitvector all-reduce
-                doomed = cluster.allreduce_or(cluster.superstep(cleaner, new))
+                doomed = cluster.allreduce_or(cluster.superstep(cleaner, cluster.broadcast(new)))
             # Common-table updates: surviving labels of the top-η hubs are
             # replicated everywhere (paper §5.3) — metered via the payload.
             by_hub: dict[int, list] = {}
@@ -113,15 +115,14 @@ def run_windows(
                 if h in top and (v, h) not in doomed:
                     by_hub.setdefault(h, []).append((v, d))
             common_updates = sorted(by_hub.items())
+            updates = None
             if doomed or common_updates or budget_bytes is not None:
-                mems = cluster.superstep(
-                    apply_updates, {"doomed": doomed, "common_updates": common_updates}
-                )
-                check_budget(mems, budget_bytes)
+                updates = cluster.broadcast({"doomed": doomed, "common_updates": common_updates})
             pos, x, windows = pos + w, x * BETA, windows + 1
             if plant and psi_per_window[-1][2] > psi_th:
                 plant, x, switch_pos = False, x1, pos
-        stats, shards = read_nodes(cluster, lambda i, st: st.store.triplets() if collect else None)
+        stats, shards = read_nodes(cluster, lambda i, st: st.store.triplets() if collect else None,
+                                   apply_updates, updates, budget_bytes)
         stats.update(
             psi_per_window=psi_per_window,
             timed_out=timed_out,

@@ -10,7 +10,8 @@ Common Label Table), which is what makes DGLL chatty and PLaNT silent.
 The superstep functions below run inside SimCluster (RDD partitions or
 the serial fallback) and are deliberately free of driver state: all
 inputs arrive via the ctx broadcast (graph, rank, root order) or the
-superstep payload.
+superstep payload, which also carries the previous superstep's updates for
+the nodes to ``settle`` first (the last ones ride on ``read_nodes``).
 """
 from __future__ import annotations
 
@@ -72,13 +73,15 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset()):
 
     engine='dgll': pruned Dijkstra with rank queries against the node's
     own shard (+ common table). engine='plant': PLaNTed trees (+ common
-    table pruning). New labels go into the node's shard immediately
+    table pruning). The previous window's updates, ``payload["updates"]``,
+    are applied first. New labels go into the node's shard immediately
     (visible to its own later trees, like GLL's local table) and are also
     reported back for the cleaning round.
     """
 
     def fn(node_id, st: NodeState, payload):
         g, rank, order = get()
+        mem = settle(apply_updates, node_id, st, payload.get("updates"))
         pos, x, q = payload["pos"], payload["x"], payload["q"]
         roots = my_roots(order, pos, x, q, node_id)
         new: list = []
@@ -102,8 +105,10 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset()):
             shipped = new
         else:
             shipped = [(v, h, d) for v, h, d in new if h in top_hubs]
-        # This whole dict is the gathered (metered) payload, counters included.
+        # This whole dict is the gathered (metered) payload, counters
+        # included; the driver pops ``mem`` before it gathers.
         return st, {
+            "mem": mem,
             "new": shipped,
             "n_labels": len(new),
             "n_trees": len(roots),
@@ -138,6 +143,12 @@ def apply_updates(node_id, st: NodeState, payload):
         for hub, labels in payload["common_updates"]:
             st.common.add_hub_labels(hub, labels)
     return st, st.mem_bytes()
+
+
+def settle(apply, node_id, st: NodeState, updates) -> int:
+    """Apply the previous superstep's ``updates`` (None: there are none)
+    with ``apply``; returns the node's memory after them."""
+    return st.mem_bytes() if updates is None else apply(node_id, st, updates)[1]
 
 
 # --------------------------------------------------------------------- #
@@ -176,14 +187,19 @@ def check_budget(mems: dict, budget_bytes: int | None) -> None:
         )
 
 
-def read_nodes(cluster, keep) -> tuple[dict, dict]:
-    """A run's one read of its nodes, after its last superstep: the run's
-    stats from the node counters, and ``{node: keep(node, state)}``, what
-    the driver keeps of each node."""
-    per_node = cluster.map_states(
-        lambda i, st: (st.work_s, st.mem_bytes(), st.store.num_labels(), st.explored, keep(i, st))
-    )
+def read_nodes(cluster, keep, apply, updates, budget_bytes) -> tuple[dict, dict]:
+    """A run's one read of its nodes, after it settles the last ``updates``
+    and checks the budget on the memory after them: the run's stats from
+    the node counters, and ``{node: keep(node, state)}``, what the driver
+    keeps of each node."""
+
+    def read(i, st: NodeState):
+        mem = settle(apply, i, st, updates)
+        return st.work_s, mem, st.store.num_labels(), st.explored, keep(i, st)
+
+    per_node = cluster.map_states(read)
     work, mem, labels, explored, kept = zip(*per_node.values())
+    check_budget(dict(zip(per_node, mem)), budget_bytes)
     stats = {
         "work_makespan_s": max(work),
         "work_total_s": sum(work),

@@ -27,6 +27,7 @@ from repro.dist.engine import (
     node_cluster,
     out_of_time,
     read_nodes,
+    settle,
 )
 from repro.graphs.csr import CSRGraph
 
@@ -53,6 +54,7 @@ def dpara_pll(
 
         def build_fn(node_id, st: NodeState, payload):
             gr, rk, order = get()
+            mem = settle(merge_fn, node_id, st, payload["merge"])  # the last sync's
             pos, x = payload["pos"], payload["x"]
             new = []
             t_in = time.perf_counter()
@@ -61,7 +63,7 @@ def dpara_pll(
                 st.store.commit([(v, root, d) for v, d in labels])
                 new.extend((v, root, d) for v, d in labels)
             st.work_s += time.perf_counter() - t_in
-            return st, new
+            return st, (mem, new)
 
         def merge_fn(node_id, st: NodeState, payload):
             for src, triplets in payload.items():
@@ -71,19 +73,19 @@ def dpara_pll(
 
         timed_out = False
         pos = 0
+        merge = None  # the last sync's full label exchange, merged by the next superstep
         while pos < n:
             if out_of_time(t0, deadline_s):
                 timed_out = True
                 break
-            outs = cluster.superstep(
-                build_fn, {"pos": pos, "x": step}, broadcast_payload=False
-            )
-            cluster.gather(outs)
-            check_budget(cluster.superstep(merge_fn, outs), budget_bytes)  # full label exchange
+            outs = cluster.superstep(build_fn, {"pos": pos, "x": step, "merge": merge})
+            check_budget({i: mem for i, (mem, _) in outs.items()}, budget_bytes)
+            merge = cluster.broadcast(cluster.gather({i: new for i, (_, new) in outs.items()}))
             pos += step
         # every replica holds the whole labeling after each merge (in append
         # order, which no reader depends on): the driver keeps node 0's
-        stats, kept = read_nodes(cluster, lambda i, st: st.store if collect and i == 0 else None)
+        stats, kept = read_nodes(cluster, lambda i, st: st.store if collect and i == 0 else None,
+                                 merge_fn, merge, budget_bytes)
         labels_total = stats["labels_total"] // q
         stats.update(
             labels_total=labels_total,

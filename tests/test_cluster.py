@@ -34,11 +34,12 @@ def test_node_id_passed():
 def test_broadcast_metering():
     c = SimCluster(None, 4, _counter_init)
     payload = list(range(100))
-    c.superstep(_inc_noop, payload)
+    c.superstep(_inc_noop, c.broadcast(payload))
     assert c.comm.broadcast_bytes == payload_bytes(payload) * 4
     assert c.comm.n_syncs == 1
-    c.superstep(_inc_noop, payload, broadcast_payload=False)
+    c.superstep(_inc_noop, payload)
     assert c.comm.n_syncs == 1  # orchestration payloads are not metered
+    assert c.comm.broadcast_bytes == payload_bytes(payload) * 4
 
 
 def _inc_noop(node_id, st, payload):
@@ -144,7 +145,7 @@ def test_spark_recomputes_lost_states_from_lineage(spark):
         build, cleaner = construct_fn(get, "dgll"), clean_fn(get)
         pos = 0
         for x in (16, 32, 64):
-            outs = cluster.superstep(build, {"pos": pos, "x": x, "q": q}, broadcast_payload=False)
+            outs = cluster.superstep(build, {"pos": pos, "x": x, "q": q})
             new = [t for o in outs.values() for t in o["new"]]
             doomed = cluster.allreduce_or(cluster.superstep(cleaner, new))
             cluster.superstep(apply_updates, {"doomed": doomed, "common_updates": []})
