@@ -1,8 +1,9 @@
 """Shortest-path-tree kernels: reference Dijkstra and Alg. 1 (pruneDijRQ).
 
 These run inside Spark tasks (per root) against a broadcast CSRGraph, and
-on the driver for the sequential baseline. Pure Python + numpy arrays,
-with lazy-deletion binary heaps.
+on the driver for the sequential baseline. They are pure Python on lists:
+the graph's cached ``adjacency()``, list-held distances and settled flags,
+a rank list, and lazy-deletion binary heaps of plain ``(d, v)`` ints.
 """
 from __future__ import annotations
 
@@ -14,25 +15,31 @@ from repro.core.labels import INF, CommonLabelTable
 from repro.graphs.csr import CSRGraph
 
 
+def as_list(a) -> list:
+    """``a`` as a Python list: a numpy array converts once, a list passes
+    through. The kernels index ranks and cover distances per vertex, and a
+    list item is a plain int where a numpy item is a boxed scalar."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
 def reference_dijkstra(g: CSRGraph, src: int) -> np.ndarray:
     """Plain textbook Dijkstra — trusted ground truth for all oracles."""
-    dist = np.full(g.n, INF, dtype=np.int64)
+    adj = g.adjacency()
+    dist = [INF] * g.n
     dist[src] = 0
-    done = np.zeros(g.n, dtype=bool)
+    done = [False] * g.n
     pq = [(0, src)]
-    indptr, indices, weights = g.indptr, g.indices, g.weights
     while pq:
         d, v = heapq.heappop(pq)
         if done[v]:
             continue
         done[v] = True
-        for i in range(indptr[v], indptr[v + 1]):
-            u = indices[i]
-            nd = d + weights[i]
+        for u, w in adj[v]:
+            nd = d + w
             if nd < dist[u]:
                 dist[u] = nd
-                heapq.heappush(pq, (int(nd), int(u)))
-    return dist
+                heapq.heappush(pq, (nd, u))
+    return np.array(dist, dtype=np.int64)
 
 
 def distance_query(
@@ -52,7 +59,7 @@ def distance_query(
 
 def prune_dij_rq(
     g: CSRGraph,
-    rank: np.ndarray,
+    rank,  # list or numpy array; arrays convert once per call
     root: int,
     visible,  # LabelStore-like: .hubs / .dists lists (the pruning snapshot)
     *,
@@ -69,18 +76,18 @@ def prune_dij_rq(
     ``common`` adds §5.3 distance queries against the replicated top-η
     table (used by DGLL inside the Hybrid algorithm).
     """
-    n = g.n
-    indptr, indices, weights = g.indptr, g.indices, g.weights
+    adj = g.adjacency()
+    rank = as_list(rank)
     rroot = rank[root]
     root_hash = dict(zip(visible.hubs[root], visible.dists[root]))
     root_hash[root] = 0
-    dist = np.full(n, INF, dtype=np.int64)
+    dist = [INF] * g.n
     dist[root] = 0
-    done = np.zeros(n, dtype=bool)
+    done = [False] * g.n
     pq = [(0, root)]
     out: list[tuple[int, int]] = []
     vh, vd = visible.hubs, visible.dists
-    cover = common.cover_vector(root) if common is not None else None
+    cover = common.cover_vector(root).tolist() if common is not None else None
     while pq:
         d, v = heapq.heappop(pq)
         if done[v]:
@@ -93,11 +100,10 @@ def prune_dij_rq(
                 continue  # Distance-Query prune
             if cover is not None and cover[v] <= d:
                 continue  # §5.3 common-table prune
-        out.append((v, int(d)))
-        for i in range(indptr[v], indptr[v + 1]):
-            u = indices[i]
-            nd = d + weights[i]
+        out.append((v, d))
+        for u, w in adj[v]:
+            nd = d + w
             if nd < dist[u]:
                 dist[u] = nd
-                heapq.heappush(pq, (int(nd), int(u)))
+                heapq.heappush(pq, (nd, u))
     return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.dijkstra import prune_dij_rq
+from repro.core.dijkstra import as_list, prune_dij_rq
 from repro.core.labels import LabelStore
 from repro.graphs.csr import CSRGraph
 
@@ -64,18 +64,16 @@ def build_trees(
     def tree(r, g, rank, visible):
         return r, prune_dij_rq(g, rank, r, visible, use_rank_queries=use_rank_queries)
 
-    return spark_map(spark, tree, [int(r) for r in roots], g, rank, visible)
+    return spark_map(spark, tree, [int(r) for r in roots], g, as_list(rank), visible)
 
 
-def dq_clean(
-    hubs_v, dists_v, hubs_h, dists_h, h: int, delta: int, rank: np.ndarray
-) -> bool:
+def dq_clean(hubs_v, dists_v, hubs_h, dists_h, h: int, delta: int, rank) -> bool:
     """Alg. 2's DQ_Clean: is label (h, delta) of v redundant?
 
     True iff some common hub w of L_v and L_h with R(w) > R(h) satisfies
     d(v,w) + d(h,w) ≤ delta. Label lists are in append order, so L_h
     becomes a hub→dist dict, L_v probes it, and rank is checked only on
-    a hit that is short enough.
+    a hit that is short enough. ``rank`` is a list or numpy array.
     """
     rh = rank[h]
     dist_h = dict(zip(hubs_h, dists_h))
@@ -86,8 +84,9 @@ def dq_clean(
     return False
 
 
-def eval_clean_chunk(chunk, witness: LabelStore, rank: np.ndarray):
+def eval_clean_chunk(chunk, witness: LabelStore, rank):
     """Redundant subset of a chunk of (v, h, delta) candidates."""
+    rank = as_list(rank)
     out = []
     hubs, dists = witness.hubs, witness.dists
     for v, h, delta in chunk:

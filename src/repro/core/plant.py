@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
+from repro.core.dijkstra import as_list
 from repro.core.labels import INF, CommonLabelTable
 from repro.graphs.csr import CSRGraph
 
 
 def plant_dijkstra(
     g: CSRGraph,
-    rank: np.ndarray,
+    rank,  # list or numpy array; arrays convert once per call
     root: int,
     *,
     common: CommonLabelTable | None = None,
@@ -40,19 +39,19 @@ def plant_dijkstra(
     with hub = root, and ``explored`` is the number of settled vertices
     (the numerator of the paper's Ψ ratio).
     """
-    n = g.n
-    indptr, indices, weights = g.indptr, g.indices, g.weights
+    adj = g.adjacency()
+    rank = as_list(rank)
     rroot = rank[root]
-    dist = np.full(n, INF, dtype=np.int64)
-    anc = np.full(n, -1, dtype=np.int64)  # max-rank vertex on path, excl. self
-    done = np.zeros(n, dtype=bool)
+    dist = [INF] * g.n
+    anc = [-1] * g.n  # max-rank vertex on path, excl. self
+    done = [False] * g.n
     dist[root] = 0
     anc[root] = root
     cnt = 1  # unsettled reachable vertices with a clean (ancestor==root) path
     pq = [(0, root)]
     out: list[tuple[int, int]] = []
     explored = 0
-    cover = common.cover_vector(root) if common is not None else None
+    cover = common.cover_vector(root).tolist() if common is not None else None
     while pq:
         if cnt == 0:
             break  # early termination: no clean frontier left
@@ -68,14 +67,14 @@ def plant_dijkstra(
             continue  # §5.3 prune: label and subtree both covered by a top hub
         # nA: highest-ranked vertex on the path *including* v.
         na = v if rank[v] > rank[av] else av
-        if rank[na] <= rroot:
-            out.append((v, int(d)))
+        rna = rank[na]
+        if rna <= rroot:
+            out.append((v, d))
         # PLaNT never prunes the tree: always relax, propagating ancestors.
-        for i in range(indptr[v], indptr[v + 1]):
-            u = indices[i]
+        for u, w in adj[v]:
             if done[u]:
                 continue
-            nd = d + weights[i]
+            nd = d + w
             du = dist[u]
             if nd < du:
                 was_clean = du < INF and anc[u] == root
@@ -86,11 +85,11 @@ def plant_dijkstra(
                 elif was_clean:
                     cnt -= 1
                 dist[u] = nd
-                heapq.heappush(pq, (int(nd), int(u)))
+                heapq.heappush(pq, (nd, u))
             elif nd == du:
                 # Equal-length path: keep the higher-ranked ancestor.
                 pa = anc[u]
-                if rank[na] > rank[pa]:
+                if rna > rank[pa]:
                     if pa == root:
                         cnt -= 1  # na != root here (rank[na] > rank[root])
                     anc[u] = na

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from repro.core.dijkstra import prune_dij_rq
+from repro.core.dijkstra import as_list, prune_dij_rq
 from repro.core.labels import LabelStore
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ranking import roots_by_rank
@@ -32,11 +32,12 @@ def seq_pll(
     t0 = time.perf_counter()
     timed_out = False
     trees = 0
+    rank_list = as_list(rank)  # converted once, not once per tree
     for root in roots_by_rank(rank):
         if deadline_s is not None and time.perf_counter() - t0 > deadline_s:
             timed_out = True
             break
-        labels = prune_dij_rq(g, rank, int(root), store)
+        labels = prune_dij_rq(g, rank_list, int(root), store)
         store.commit([(v, int(root), d) for v, d in labels])
         trees += 1
     return store, {

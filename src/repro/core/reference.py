@@ -53,10 +53,12 @@ def ground_truth_pairs(g: CSRGraph, pairs) -> pd.DataFrame:
     Unreachable pairs get dist = INF so both sides of the comparison can
     express them as a plain integer column.
     """
-    cache: dict[int, np.ndarray] = {}
-    rows = []
-    for u, v in pairs:
-        if u not in cache:
-            cache[u] = reference_dijkstra(g, u)
-        rows.append((int(u), int(v), int(cache[u][v])))
-    return pd.DataFrame(rows, columns=["u", "v", "dist"]).astype("int64")
+    uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    u, v = uv[:, 0], uv[:, 1]
+    dist = np.empty(len(uv), dtype=np.int64)
+    # One Dijkstra per distinct source, gathered into that source's rows.
+    order = np.argsort(u, kind="stable")
+    sources, starts = np.unique(u[order], return_index=True)
+    for s, rows in zip(sources.tolist(), np.split(order, starts[1:])):
+        dist[rows] = reference_dijkstra(g, s)[v[rows]]
+    return pd.DataFrame({"u": u, "v": v, "dist": dist})

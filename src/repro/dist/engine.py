@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.dijkstra import prune_dij_rq
+from repro.core.dijkstra import as_list, prune_dij_rq
 from repro.core.labels import CommonLabelTable, LabelStore
 from repro.core.parallel import eval_clean_chunk
 from repro.core.plant import plant_dijkstra
@@ -50,12 +50,12 @@ class NodeState:
 
 
 def make_ctx(spark: SparkSession | None, g: CSRGraph, rank: np.ndarray):
-    """(get, free): get() -> (graph, rank, root_order), broadcast once."""
+    """(get, free): get() -> (graph, rank list, root_order), broadcast once."""
     order = roots_by_rank(rank)
+    val = (g, as_list(rank), order)
     if spark is None:
-        val = (g, rank, order)
         return (lambda: val), (lambda: None)
-    bc = spark.sparkContext.broadcast((g, rank, order))
+    bc = spark.sparkContext.broadcast(val)
     return (lambda: bc.value), bc.unpersist
 
 

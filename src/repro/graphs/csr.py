@@ -2,8 +2,10 @@
 
 The CSR arrays are plain numpy so a graph pickles cheaply into a Spark
 broadcast variable and is shared read-only by every task that builds a
-shortest-path tree. Edge weights are integers throughout the repo so
-distance comparisons are exact (see DESIGN.md §4).
+shortest-path tree. The tree kernels read a derived per-vertex adjacency
+of Python ints instead, built lazily once per graph per process and never
+pickled. Edge weights are integers throughout the repo so distance
+comparisons are exact (see DESIGN.md §4).
 """
 from __future__ import annotations
 
@@ -33,8 +35,15 @@ class CSRGraph:
     indices: np.ndarray
     weights: np.ndarray
 
-    # Cached degree view, derived — excluded from equality/pickle noise.
-    _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Derived caches: excluded from equality, repr and the pickled state.
+    _degrees: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _adj: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {f: getattr(self, f) for f in ("n", "indptr", "indices", "weights")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     @property
     def m(self) -> int:
@@ -46,6 +55,15 @@ class CSRGraph:
         if self._degrees is None:
             self._degrees = np.diff(self.indptr)
         return self._degrees
+
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """``adj[v]`` = [(neighbour, weight), ...] of Python ints, in CSR
+        order — what the tree kernels iterate. Built on first use."""
+        if self._adj is None:
+            ptr = self.indptr.tolist()
+            pairs = list(zip(self.indices.tolist(), self.weights.tolist()))
+            self._adj = [pairs[ptr[v] : ptr[v + 1]] for v in range(self.n)]
+        return self._adj
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbour ids, edge weights) of vertex ``v``."""

@@ -13,6 +13,7 @@ import heapq
 
 import numpy as np
 
+from repro.core.labels import INF
 from repro.graphs.csr import CSRGraph
 
 
@@ -44,41 +45,40 @@ def betweenness_rank(g: CSRGraph, samples: int = 64, seed: int = 7) -> np.ndarra
     n = g.n
     rng = np.random.default_rng(seed)
     sources = rng.choice(n, size=min(samples, n), replace=False)
-    score = np.zeros(n, dtype=np.float64)
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-    for s in sources:
-        dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        sigma = np.zeros(n, dtype=np.float64)  # shortest-path counts
+    score = [0.0] * n
+    adj = g.adjacency()
+    for s in sources.tolist():
+        dist = [INF] * n
+        sigma = [0.0] * n  # shortest-path counts
         dist[s] = 0
         sigma[s] = 1.0
         preds: list[list[int]] = [[] for _ in range(n)]
         settled_order: list[int] = []
-        done = np.zeros(n, dtype=bool)
-        pq = [(0, int(s))]
+        done = [False] * n
+        pq = [(0, s)]
         while pq:
             d, v = heapq.heappop(pq)
             if done[v]:
                 continue
             done[v] = True
             settled_order.append(v)
-            for i in range(indptr[v], indptr[v + 1]):
-                u = indices[i]
-                nd = d + weights[i]
+            for u, w in adj[v]:
+                nd = d + w
                 if nd < dist[u]:
                     dist[u] = nd
                     sigma[u] = sigma[v]
                     preds[u] = [v]
-                    heapq.heappush(pq, (int(nd), int(u)))
+                    heapq.heappush(pq, (nd, u))
                 elif nd == dist[u] and not done[u]:
                     sigma[u] += sigma[v]
                     preds[u].append(v)
-        delta = np.zeros(n, dtype=np.float64)
+        delta = [0.0] * n
         for v in reversed(settled_order):
             for p in preds[v]:
                 delta[p] += sigma[p] / sigma[v] * (1.0 + delta[v])
             if v != s:
                 score[v] += delta[v]
-    return _scores_to_rank(score)
+    return _scores_to_rank(np.array(score, dtype=np.float64))
 
 
 def rank_for(g: CSRGraph, kind: str) -> np.ndarray:

@@ -86,3 +86,15 @@ def test_rank_for_dispatch(kind, fn):
     r = rank_for(g, kind)
     expect = betweenness_rank(g) if fn == "betweenness" else degree_rank(g)
     assert np.array_equal(r, expect)
+
+
+def test_betweenness_rank_unchanged_on_test_datasets():
+    """Element-for-element equal to the ranks recorded from the numpy-array
+    Brandes loop before it moved onto the graph's cached adjacency."""
+    import json
+    from pathlib import Path
+
+    recorded = json.loads((Path(__file__).parent / "data" / "betweenness_rank.json").read_text())
+    assert sorted(recorded) == sorted(DATASETS)
+    for name, want in recorded.items():
+        assert betweenness_rank(build_dataset(name, TEST_SCALE)).tolist() == want, name
