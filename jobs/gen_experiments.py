@@ -235,29 +235,34 @@ T4_NOTES = """
 F8_NOTES = """
 **Shape checks (paper → ours):**
 - *PLaNT scales near-linearly with zero label traffic* (paper: avg 42× on 64
-  nodes): our per-node work makespan drops 10.9× (CAL 2.17→0.20 s), 12.2×
-  (SKIT), 11.1× (ACT 8.99→0.81 s) and 12.2× (POK 19.56→1.6 s) from q=1 to
-  q=16, with 0 communicated bytes at every q.
+  nodes): our per-node work makespan drops 9.7× (CAL 0.97→0.10 s), 10.8×
+  (SKIT 0.86→0.08 s), 11.0× (ACT 3.42→0.31 s) and 10.6× (POK 9.94→0.94 s)
+  from q=1 to q=16, with 0 communicated bytes at every q.
 - *DGLL/DparaPLL do not scale*: their delivered broadcast volume grows ~q²
   (CAL DGLL 1.4→13.9→108 MB) and wall time *rises* from q=4 to q=16 on every
-  dataset (CAL DGLL 6.9→27.9 s) — the paper's flat/worsening curves.
+  dataset (CAL DGLL 5.6→22.6 s) — the paper's flat/worsening curves.
 - *DparaPLL label explosion (Fig. 9)*: ALS grows with q (CAL 36.6→101.8→235.4;
   SKIT 14.2→165.8→325.9) while Hybrid/DGLL/PLaNT output the CHL ALS at every q;
   under the scaled node budget DparaPLL OOMs on the dense weak-hierarchy POK at
   q=16 — the paper's missing curves.
 - *Topology split*: on scale-free graphs Hybrid's makespan beats pure PLaNT
-  (ACT q=1: 2.95 vs 8.99 s — the paper's order-of-magnitude small-q gap;
-  q=16: 0.25 vs 0.81 s) because the low-yield tail is DGLL-pruned; on road networks
+  (ACT q=1: 1.33 vs 3.42 s, where the paper reports an order of magnitude;
+  q=16: 0.11 vs 0.31 s) because the low-yield tail is DGLL-pruned; on road networks
   PLaNT alone is already efficient and Hybrid ≈ PLaNT + sync cost.
 - *Small-dataset caveat, as in the paper (§7.3)*: at our scale "even few
   synchronizations … dominate the small pre-processing time" — Hybrid/DGLL wall
   time is mostly fixed per-superstep Spark cost, so the compute story is the
-  makespan column. PLaNT (no traffic, no cleaning supersteps) has a lower wall
-  time than DGLL and Hybrid at every q ≥ 4 and on CAL at every q, the
+  makespan column. An empty superstep costs about 0.4 s at q=4 and 1.5 s at
+  q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 spends 22.6 s of wall
+  time on 0.18 s of makespan. Running a superstep as one Python pass per node
+  instead of two halved these wall times (median row 0.47–0.55 of the
+  two-pass run at each q, every comm-MB and ALS cell equal). PLaNT (no
+  traffic, no cleaning supersteps) has a lower wall time than DGLL and Hybrid
+  at every q ≥ 4 and on CAL, SKIT and POK at every q, the
   communication-avoidance thesis. DparaPLL, whose replica merge rides in its
   next build superstep (one Spark job per sync), is about as fast as PLaNT or
-  faster on the scale-free graphs where it fits in memory, and pays for it with
-  the label explosion above.
+  faster on SKIT and ACT and on POK at q=1, where it fits in memory, and pays
+  for it with the label explosion above.
 """
 
 

@@ -1,12 +1,19 @@
 """SimCluster — q logical cluster nodes realised as one persisted RDD.
 
 Node i lives alone in slice i of ``parallelize(range(q), q)``; the RDD
-holds ``(node_id, (state, last_out))`` and is never shuffled. A superstep
-is one Spark job: ``map`` the previous RDD, ``persist`` the result and
-``collect`` the outputs, which caches the new states as a side effect.
+holds ``(node_id, state)`` and is never shuffled. A superstep is one
+Spark job and one Python pass per node: ``map`` the previous RDD with a
+step that runs the node function, adds ``{node_id: out}`` to the
+cluster's dict accumulator and keeps the new state; ``persist`` the
+result and count it on the JVM side, which caches the new states. The
+count is JVM-side because PySpark does not pipeline a map over a cached
+RDD: any PySpark action (``count``, ``collect``, ``foreachPartition``)
+would run every node's task through a second Python worker. The outputs
+come back with the task results, so no label shard travels to the driver.
 The driver plays the MPI runtime: payloads move as Spark broadcasts
-(MPI_Bcast), per-node outputs return via ``collect`` (MPI_Gather), and
-redundancy bitvectors are OR-combined on the driver (MPI_Allreduce).
+(MPI_Bcast), per-node outputs return through the accumulator
+(MPI_Gather), and redundancy bitvectors are OR-combined on the driver
+(MPI_Allreduce).
 Every such event is metered in ``CommCounter`` — the paper's scalability
 story is precisely about this traffic (§5.2: PLaNT's zero label traffic).
 As in BSP, a message costs no job of its own: what ``broadcast`` meters
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pyspark import StorageLevel
+from pyspark import AccumulatorParam, StorageLevel
 from pyspark.sql import SparkSession
 
 from repro.core.labels import payload_bytes
@@ -48,11 +55,24 @@ class CommCounter:
         }
 
 
+class _DictMerge(AccumulatorParam):
+    """Accumulates ``{node_id: out}`` dicts. A later add for a node
+    replaces its earlier one, so a re-run task adds nothing twice."""
+
+    def zero(self, value):
+        return {}
+
+    def addInPlace(self, a, b):
+        a.update(b)
+        return a
+
+
 class SimCluster:
     """q logical nodes with persistent per-node state.
 
     ``init_fn(node_id) -> state`` builds each node's initial state (on
-    Spark, inside the first job that reads the states). A superstep
+    Spark, in the same Python pass as the first superstep; ``init_fn``
+    must be deterministic, as a lost state is rebuilt from it). A superstep
     applies ``fn(node_id, state, payload) -> (state', out)`` on every node
     and returns ``{node_id: out}``; state' replaces the node state for
     subsequent supersteps.
@@ -66,27 +86,41 @@ class SimCluster:
             self._states = {i: init_fn(i) for i in range(q)}
             self._rdd = None
         else:
-            self._rdd = (
-                spark.sparkContext.parallelize(range(q), q)
-                .map(lambda i: (i, (init_fn(i), None)))
-                .persist(StorageLevel.MEMORY_AND_DISK)
-            )
+            sc = spark.sparkContext
+            self._rdd = sc.parallelize(range(q), q).map(lambda i: (i, init_fn(i)))
+            self._outs = sc.accumulator({}, _DictMerge())
 
     # ------------------------------------------------------------------ #
     def superstep(self, fn, payload=None) -> dict:
-        """Run ``fn`` on every node as one Spark job. The payload is not
-        metered: its label traffic went through ``broadcast``."""
+        """Run ``fn`` on every node as one Spark job and one Python pass.
+        The payload is not metered: its label traffic went through
+        ``broadcast``.
+
+        On Spark the outputs arrive in the accumulator, which the driver
+        empties once it has read them: PySpark's accumulator registry
+        keeps every accumulator for the life of the session, so an
+        uncleared value would hold the run's last outputs until then.
+        Every node adds its output in every superstep, so outputs that a
+        lineage recompute re-adds are overwritten by the current ones."""
         if self.spark is None:
             outs = {}
             for i in range(self.q):
                 self._states[i], outs[i] = fn(i, self._states[i], payload)
             return outs
         pay_bc = self.spark.sparkContext.broadcast(payload)
-        new_rdd = self._rdd.map(
-            lambda kv: (kv[0], fn(kv[0], kv[1][0], pay_bc.value))
-        ).persist(StorageLevel.MEMORY_AND_DISK)
-        outs = dict(new_rdd.map(lambda kv: (kv[0], kv[1][1])).collect())
-        self._rdd.unpersist()
+        acc = self._outs
+
+        def step(kv):
+            i, st = kv
+            st, out = fn(i, st, pay_bc.value)
+            acc.add({i: out})
+            return i, st
+
+        new_rdd = self._rdd.map(step).persist(StorageLevel.MEMORY_AND_DISK)
+        new_rdd._jrdd.count()  # a PySpark action would add a second pass
+        outs, acc.value = acc.value, {}
+        if self._rdd.is_cached:  # the init RDD is not: it pipelines into step 1
+            self._rdd.unpersist()
         pay_bc.unpersist()  # the driver keeps the value for recomputes
         self._rdd = new_rdd
         return outs
@@ -122,7 +156,7 @@ class SimCluster:
         """A run's last pass over node states (not metered; on Spark, changes are lost)."""
         if self.spark is None:
             return {i: fn(i, st) for i, st in self._states.items()}
-        return dict(self._rdd.map(lambda kv: (kv[0], fn(kv[0], kv[1][0]))).collect())
+        return dict(self._rdd.map(lambda kv: (kv[0], fn(kv[0], kv[1]))).collect())
 
     def free(self) -> None:
         if self._rdd is not None:

@@ -133,6 +133,31 @@ def test_one_spark_job_per_superstep(spark):
         c.free()
 
 
+def _mixed_out(node_id, st, payload):
+    """Node outputs of every shape a driver gathers: none, an empty list
+    and, on node 5, a list of more than 100 000 tuples."""
+    st["count"] += 1
+    if node_id == 5:
+        return st, [(node_id, v, st["count"]) for v in range(120_000)]
+    return st, (None if node_id % 2 else [])
+
+
+def test_spark_outputs_complete_and_equal_to_serial(spark):
+    """Outputs come back through the accumulator, one per node, equal to
+    the serial path's, and the driver keeps none of them afterwards."""
+    serial = SimCluster(None, 16, _counter_init)
+    c = SimCluster(spark, 16, _counter_init)
+    try:
+        for _ in range(2):
+            expected = serial.superstep(_mixed_out)
+            assert c.superstep(_mixed_out) == expected
+            assert c._outs.value == {}
+        assert len(expected[5]) == 120_000 and expected[4] == [] and expected[3] is None
+        assert c.map_states(lambda i, st: st["count"]) == {i: 2 for i in range(16)}
+    finally:
+        c.free()
+
+
 def _shard(node_id, st):
     return st.store.triplets()
 
