@@ -187,17 +187,18 @@ T3_NOTES = """
 - *Hard instances*: POK/LIJ have far larger ALS than all others in both (weak
   hierarchy), and they are the slowest rows in both.
 - *seqPLL vs parallel*: the paper gets 6–25× from 72 threads on 10⁷-edge graphs.
-  At lite scale a Spark batch round-trip (~0.2–0.4 s) rivals whole-tree cost, so
-  GLL/LCC wall-time only beats seqPLL on the hardest instances (POK: 8.2 s seq vs
-  5.7/6.1 s LCC/GLL; LIJ: 21.3 s seq vs 7.8/8.7 s — a 2.4–2.7× win) — exactly the
-  regime where per-tree work amortises the fan-out. The clean parallel-speedup
+  At lite scale a Spark batch round-trip (~0.1–0.25 s for an empty batch of 1–8
+  tasks) rivals whole-tree cost, so GLL/LCC wall-time only beats seqPLL on the
+  hardest instances (POK: 8.5 s seq vs 5.6/4.8 s LCC/GLL; LIJ: 25.8 s seq vs
+  11.5/9.8 s — a 1.5–2.6× win) — exactly the regime where per-tree work
+  amortises the fan-out. The clean parallel-speedup
   signal at fixed overhead is the Fig. 8 makespan section below.
 - *GLL vs LCC cleaning* (paper Fig. 7): GLL restricts witnesses to the
   superstep-local table; measured per-candidate cleaning cost drops ~2×
-  (15 µs → 7 µs on USA) and GLL's cleaning wall-time is a small fraction of its
-  runtime on every dataset (e.g. CAL 0.5 s of 4.8 s vs LCC's 0.8 s of 5.6 s);
-  with many supersteps the fixed sync cost eats part of the win — the paper's
-  own α-tradeoff (Fig. 5)."""
+  (15 µs → 7 µs on USA). GLL's cleaning (on the driver below 50 000
+  candidates) takes 8–17 % of its wall time on the scale-free rows and
+  26–41 % on the road rows and POK/LIJ (CAL 0.72 s of 2.78 s, USA 4.65 s of
+  11.35 s) — the paper's own α-tradeoff (Fig. 5)."""
 
 T4_NOTES = """
 **Shape checks (paper → ours):**
@@ -235,34 +236,36 @@ T4_NOTES = """
 F8_NOTES = """
 **Shape checks (paper → ours):**
 - *PLaNT scales near-linearly with zero label traffic* (paper: avg 42× on 64
-  nodes): our per-node work makespan drops 9.7× (CAL 0.97→0.10 s), 10.8×
-  (SKIT 0.86→0.08 s), 11.0× (ACT 3.42→0.31 s) and 10.6× (POK 9.94→0.94 s)
+  nodes): our per-node work makespan drops 7.8× (CAL 0.94→0.12 s), 9.2×
+  (SKIT 0.92→0.10 s), 9.7× (ACT 3.02→0.31 s) and 12.7× (POK 10.05→0.79 s)
   from q=1 to q=16, with 0 communicated bytes at every q.
 - *DGLL/DparaPLL do not scale*: their delivered broadcast volume grows ~q²
   (CAL DGLL 1.4→13.9→108 MB) and wall time *rises* from q=4 to q=16 on every
-  dataset (CAL DGLL 5.6→22.6 s) — the paper's flat/worsening curves.
+  dataset (CAL DGLL 2.99→11.03 s) — the paper's flat/worsening curves.
 - *DparaPLL label explosion (Fig. 9)*: ALS grows with q (CAL 36.6→101.8→235.4;
   SKIT 14.2→165.8→325.9) while Hybrid/DGLL/PLaNT output the CHL ALS at every q;
   under the scaled node budget DparaPLL OOMs on the dense weak-hierarchy POK at
   q=16 — the paper's missing curves.
 - *Topology split*: on scale-free graphs Hybrid's makespan beats pure PLaNT
-  (ACT q=1: 1.33 vs 3.42 s, where the paper reports an order of magnitude;
-  q=16: 0.11 vs 0.31 s) because the low-yield tail is DGLL-pruned; on road networks
+  (ACT q=1: 1.49 vs 3.02 s, where the paper reports an order of magnitude;
+  q=16: 0.15 vs 0.31 s) because the low-yield tail is DGLL-pruned; on road networks
   PLaNT alone is already efficient and Hybrid ≈ PLaNT + sync cost.
 - *Small-dataset caveat, as in the paper (§7.3)*: at our scale "even few
   synchronizations … dominate the small pre-processing time" — Hybrid/DGLL wall
   time is mostly fixed per-superstep Spark cost, so the compute story is the
-  makespan column. An empty superstep costs about 0.4 s at q=4 and 1.5 s at
-  q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 spends 22.6 s of wall
-  time on 0.18 s of makespan. Running a superstep as one Python pass per node
-  instead of two halved these wall times (median row 0.47–0.55 of the
-  two-pass run at each q, every comm-MB and ALS cell equal). PLaNT (no
-  traffic, no cleaning supersteps) has a lower wall time than DGLL and Hybrid
-  at every q ≥ 4 and on CAL, SKIT and POK at every q, the
-  communication-avoidance thesis. DparaPLL, whose replica merge rides in its
-  next build superstep (one Spark job per sync), is about as fast as PLaNT or
-  faster on SKIT and ACT and on POK at q=1, where it fits in memory, and pays
-  for it with the label explosion above.
+  makespan column. An empty superstep costs about 0.14 s at q=4 and 0.37 s
+  at q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 still spends 11.0 s of
+  wall time on 0.17 s of makespan. Stopping the Python workers from
+  re-reading Spark's jar and zip archives before every task (DESIGN.md §3)
+  cut these wall times again: the median row is 0.51, 0.52 and 0.33 of the
+  previous run at q=1, 4 and 16, with every comm-MB and ALS cell equal.
+  PLaNT (no traffic, no cleaning supersteps) has a lower wall time than DGLL
+  and Hybrid on every dataset at q=16, on all but ACT at q=4 (Hybrid 1.51 vs
+  PLaNT 1.56 s) and on CAL at q=1, the communication-avoidance thesis; at
+  q=1 there is no traffic to avoid. DparaPLL, whose replica merge rides in
+  its next build superstep (one Spark job per sync), is faster than PLaNT at
+  q=1 on SKIT, ACT and POK, slower at q=16 wherever it fits in memory, and
+  pays for its speed with the label explosion above.
 """
 
 

@@ -12,8 +12,21 @@ come back as plain (root, labels) lists.
 batches all run through it. With ``spark=None`` it runs the identical
 computation serially on the driver — unit tests use that path;
 integration tests and benchmarks use Spark.
+
+Every task function repro ships to Spark starts with
+``freeze_worker_archives``. PySpark's worker calls
+``importlib.invalidate_caches()`` before every task, and on CPython 3.11
+that makes each cached ``zipimporter`` re-read its archive's directory:
+the spark-core jar, ``pyspark.zip`` and the py4j zip, about 16 importers
+and 27 000 entries, most of a trivial task's time. Those archives never
+change during a run, so the first task in each worker freezes their
+importers.
 """
 from __future__ import annotations
+
+import os
+import sys
+import zipimport
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -21,6 +34,42 @@ from pyspark.sql import SparkSession
 from repro.core.dijkstra import as_list, prune_dij_rq
 from repro.core.labels import LabelStore
 from repro.graphs.csr import CSRGraph
+
+
+class _FrozenZipImporter(zipimport.zipimporter):
+    """A ``zipimporter`` whose archive does not change: it keeps the
+    directory it read when the import system invalidates caches."""
+
+    def invalidate_caches(self):
+        pass
+
+
+def freeze_archives(cache: dict, files_root: str) -> None:
+    """Freeze every plain ``zipimporter`` in ``cache`` (an importer cache
+    such as ``sys.path_importer_cache``) whose archive is not under
+    ``files_root``, where ``addPyFile`` archives live and may change.
+    Other finders, and importers of any other type, are left as they are,
+    so where the import system differs this does nothing."""
+    files_root = os.path.join(files_root, "")
+    for finder in cache.values():
+        if type(finder) is zipimport.zipimporter and not finder.archive.startswith(files_root):
+            finder.__class__ = _FrozenZipImporter
+
+
+_worker_archives_frozen = False
+
+
+def freeze_worker_archives() -> None:
+    """Freeze this Python worker's archive importers, once per process.
+    Called at the start of every task function repro sends to Spark,
+    never on the driver."""
+    global _worker_archives_frozen
+    if _worker_archives_frozen:
+        return
+    _worker_archives_frozen = True
+    from pyspark import SparkFiles
+
+    freeze_archives(sys.path_importer_cache, SparkFiles.getRootDirectory())
 
 
 def _n_slices(spark: SparkSession, n_items: int) -> int:
@@ -36,10 +85,15 @@ def spark_map(spark: SparkSession | None, fn, items, *shared) -> list:
         return [fn(x, *shared) for x in items]
     sc = spark.sparkContext
     bcs = [sc.broadcast(s) for s in shared]
+
+    def task(x):
+        freeze_worker_archives()
+        return fn(x, *(b.value for b in bcs))
+
     try:
         return (
             sc.parallelize(items, _n_slices(spark, len(items)))
-            .map(lambda x: fn(x, *(b.value for b in bcs)))
+            .map(task)
             .collect()
         )
     finally:
@@ -114,8 +168,9 @@ def find_redundant(
     """
     if not candidates:
         return set()
-    # A Spark round-trip costs ~0.3 s; small cleaning rounds (GLL's whole
-    # point is that they are small) run on the driver, LCC-sized fan out.
+    # An empty spark_map job (8 tasks on local[4]) costs ~0.2 s; small
+    # cleaning rounds (GLL's whole point is that they are small) run on the
+    # driver, LCC-sized fan out.
     if spark is None or len(candidates) < 50_000:
         return set(eval_clean_chunk(candidates, witness, rank))
     k = _n_slices(spark, len(candidates))

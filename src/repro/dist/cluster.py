@@ -19,6 +19,11 @@ story is precisely about this traffic (§5.2: PLaNT's zero label traffic).
 As in BSP, a message costs no job of its own: what ``broadcast`` meters
 rides in the next superstep's payload (or in the final ``map_states``).
 
+Every task function here starts with ``freeze_worker_archives``
+(``repro.core.parallel``), which stops PySpark's worker from re-reading
+Spark's jar and zip archives before each task; it is called in-task so
+that every session that runs these tasks picks it up.
+
 ``spark=None`` degrades to an in-process list of node states running the
 same superstep functions serially — used by fast unit tests; the Spark
 path is exercised by integration tests and benchmarks.
@@ -31,6 +36,7 @@ from pyspark import AccumulatorParam, StorageLevel
 from pyspark.sql import SparkSession
 
 from repro.core.labels import payload_bytes
+from repro.core.parallel import freeze_worker_archives
 
 
 @dataclass
@@ -87,7 +93,12 @@ class SimCluster:
             self._rdd = None
         else:
             sc = spark.sparkContext
-            self._rdd = sc.parallelize(range(q), q).map(lambda i: (i, init_fn(i)))
+
+            def init(i):
+                freeze_worker_archives()
+                return i, init_fn(i)
+
+            self._rdd = sc.parallelize(range(q), q).map(init)
             self._outs = sc.accumulator({}, _DictMerge())
 
     # ------------------------------------------------------------------ #
@@ -111,6 +122,7 @@ class SimCluster:
         acc = self._outs
 
         def step(kv):
+            freeze_worker_archives()
             i, st = kv
             st, out = fn(i, st, pay_bc.value)
             acc.add({i: out})
@@ -156,7 +168,12 @@ class SimCluster:
         """A run's last pass over node states (not metered; on Spark, changes are lost)."""
         if self.spark is None:
             return {i: fn(i, st) for i, st in self._states.items()}
-        return dict(self._rdd.map(lambda kv: (kv[0], fn(kv[0], kv[1]))).collect())
+
+        def read(kv):
+            freeze_worker_archives()
+            return kv[0], fn(*kv)
+
+        return dict(self._rdd.map(read).collect())
 
     def free(self) -> None:
         if self._rdd is not None:

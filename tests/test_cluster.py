@@ -1,10 +1,19 @@
-"""SimCluster semantics: state persistence, metering, reductions."""
+"""SimCluster semantics: state persistence, metering, reductions, and the
+archive importers of the Python workers that run its tasks."""
+import importlib
+import os
+import sys
 import time
+import zipfile
+import zipimport
 from contextlib import contextmanager
 
 import pytest
 
+from repro.core import parallel
 from repro.core.labels import payload_bytes
+from repro.core.parallel import _FrozenZipImporter, freeze_archives, spark_map
+from repro.dist import cluster as cluster_mod
 from repro.dist.cluster import SimCluster
 from repro.dist.engine import apply_updates, clean_fn, construct_fn, node_cluster
 from tests.helpers import graph, rank_of
@@ -180,3 +189,115 @@ def test_spark_recomputes_lost_states_from_lineage(spark):
         assert not cluster._rdd.is_cached
         assert cluster.map_states(_shard) == before
     assert sum(len(t) for t in before.values()) > 0
+
+
+# --------------------------------------------------------------------- #
+# Archive importers of the Python workers.
+# --------------------------------------------------------------------- #
+def _zip(path, **modules):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with zipfile.ZipFile(path, "w") as z:
+        for name, body in modules.items():
+            z.writestr(f"{name}.py", body)
+
+
+class _SubZipImporter(zipimport.zipimporter):
+    pass
+
+
+def test_freeze_archives_keeps_user_archives_and_other_finders(tmp_path):
+    """Only plain zipimporters outside the SparkFiles root are frozen,
+    twice the same; a frozen one keeps its directory when caches are
+    invalidated, an addPyFile archive (under the root) is re-read."""
+    spark_zip, user_zip, sub_zip = (
+        tmp_path / "spark" / "lib.zip", tmp_path / "files" / "dep.zip", tmp_path / "spark" / "sub.zip"
+    )
+    for path in (spark_zip, user_zip, sub_zip):
+        _zip(path, a="A = 1")
+    cache = {
+        str(spark_zip): zipimport.zipimporter(str(spark_zip)),
+        str(user_zip): zipimport.zipimporter(str(user_zip)),
+        str(sub_zip): _SubZipImporter(str(sub_zip)),
+        str(tmp_path): object(),
+        "gone": None,
+    }
+    before = dict(cache)
+    for _ in range(2):
+        freeze_archives(cache, str(tmp_path / "files"))
+        assert cache == before  # the same finder objects, none added or dropped
+        assert [type(f) for f in cache.values()] == [
+            _FrozenZipImporter, zipimport.zipimporter, _SubZipImporter, object, type(None)
+        ]
+    for path in (spark_zip, user_zip):
+        _zip(path, a="A = 1", b="B = 2")
+        cache[str(path)].invalidate_caches()
+    assert cache[str(spark_zip)].find_spec("a") and cache[str(spark_zip)].find_spec("b") is None
+    assert cache[str(user_zip)].find_spec("b") is not None
+
+
+def _refuse(*_):
+    raise AssertionError("freeze_worker_archives ran on the driver")
+
+
+def test_serial_path_leaves_driver_importers_alone(monkeypatch):
+    """spark=None never freezes anything, so the driver's import state is
+    the interpreter's own (the Spark tasks of other tests run in workers)."""
+    monkeypatch.setattr(parallel, "freeze_worker_archives", _refuse)
+    monkeypatch.setattr(cluster_mod, "freeze_worker_archives", _refuse)
+    assert spark_map(None, lambda x, k: x * k, [1, 2], 3) == [3, 6]
+    c = SimCluster(None, 2, _counter_init)
+    c.superstep(_inc, 1)
+    assert c.map_states(lambda i, st: st["count"]) == {0: 1, 1: 1}
+    assert not parallel._worker_archives_frozen
+    assert not any(type(f) is _FrozenZipImporter for f in sys.path_importer_cache.values())
+
+
+def _archive_probe(module):
+    """Inside a Spark task: the worker's Spark archives (the files on its
+    PYTHONPATH), the types of their cached importers, the archives that
+    ``importlib.invalidate_caches()`` re-reads, and whether ``module``,
+    not loaded before, then imports from one of them."""
+    archives = {p for p in os.environ["PYTHONPATH"].split(os.pathsep) if os.path.isfile(p)}
+    types = {
+        type(f).__name__
+        for f in sys.path_importer_cache.values()
+        if isinstance(f, zipimport.zipimporter) and f.archive in archives
+    }
+    reads = []
+    read = zipimport._read_directory
+    zipimport._read_directory = lambda path: reads.append(path) or read(path)
+    try:
+        importlib.invalidate_caches()
+    finally:
+        zipimport._read_directory = read
+    loaded = module in sys.modules
+    origin = importlib.import_module(module).__spec__.origin
+    return {
+        "archives": sorted(archives),
+        "types": types,
+        "reads": [a for a in reads if a in archives],
+        "loaded": loaded,
+        "from_archive": any(origin.startswith(a + os.sep) for a in archives),
+    }
+
+
+def _check_probe(probe):
+    if not probe["archives"]:
+        pytest.skip("the Python workers import pyspark from no archive")
+    assert probe["types"] == {"_FrozenZipImporter"}, probe
+    assert probe["reads"] == [], probe
+    assert not probe["loaded"] and probe["from_archive"], probe
+
+
+def test_spark_tasks_do_not_reread_spark_archives(spark):
+    """After a superstep and after a spark_map, the worker's Spark archive
+    importers are frozen: invalidating caches re-reads no archive, and a
+    pyspark module not loaded before still imports from its archive."""
+    c = SimCluster(spark, 1, _counter_init)
+    try:
+        c.superstep(_inc, 1)
+        probe = c.superstep(lambda i, st, p: (st, _archive_probe(p)), "pyspark.install")[0]
+    finally:
+        c.free()
+    _check_probe(probe)
+    _check_probe(spark_map(spark, _archive_probe, ["pyspark.instrumentation_utils"])[0])
