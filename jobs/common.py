@@ -69,12 +69,3 @@ def print_table(title: str, rows: list[dict], cols: list[str]) -> None:
     print("-+-".join("-" * widths[c] for c in cols))
     for r in rows:
         print(" | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols), flush=True)
-
-
-def fmt(x, nd=1):
-    """Format a number, passing through the paper's ∞ / '-' markers."""
-    if isinstance(x, str):
-        return x
-    if x is None:
-        return "-"
-    return f"{x:.{nd}f}"

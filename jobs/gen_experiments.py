@@ -187,18 +187,18 @@ T3_NOTES = """
 - *Hard instances*: POK/LIJ have far larger ALS than all others in both (weak
   hierarchy), and they are the slowest rows in both.
 - *seqPLL vs parallel*: the paper gets 6–25× from 72 threads on 10⁷-edge graphs.
-  At lite scale a Spark batch round-trip (~0.1–0.25 s for an empty batch of 1–8
-  tasks) rivals whole-tree cost, so GLL/LCC wall-time only beats seqPLL on the
-  hardest instances (POK: 8.5 s seq vs 5.6/4.8 s LCC/GLL; LIJ: 25.8 s seq vs
-  11.5/9.8 s — a 1.5–2.6× win) — exactly the regime where per-tree work
+  At lite scale a Spark batch round-trip (~0.1 s for an empty batch of 1–4
+  tasks, one per core) rivals whole-tree cost, so GLL/LCC wall-time only beats
+  seqPLL on the hardest instances (POK: 6.6 s seq vs 3.5/2.6 s LCC/GLL; LIJ:
+  28.4 s seq vs 11.2/7.7 s — a 1.9–3.7× win) — exactly the regime where per-tree work
   amortises the fan-out. The clean parallel-speedup
   signal at fixed overhead is the Fig. 8 makespan section below.
 - *GLL vs LCC cleaning* (paper Fig. 7): GLL restricts witnesses to the
   superstep-local table; measured per-candidate cleaning cost drops ~2×
   (15 µs → 7 µs on USA). GLL's cleaning (on the driver below 50 000
-  candidates) takes 8–17 % of its wall time on the scale-free rows and
-  26–41 % on the road rows and POK/LIJ (CAL 0.72 s of 2.78 s, USA 4.65 s of
-  11.35 s) — the paper's own α-tradeoff (Fig. 5)."""
+  candidates) takes 9–20 % of its wall time on the scale-free rows and
+  29–41 % on the road rows and POK/LIJ (CAL 0.56 s of 1.91 s, USA 2.94 s of
+  7.19 s) — the paper's own α-tradeoff (Fig. 5)."""
 
 T4_NOTES = """
 **Shape checks (paper → ours):**

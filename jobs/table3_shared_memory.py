@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from common import dump_results, fmt, make_spark, print_table
+from common import dump_results, make_spark, print_table
 
 from repro.core.gll import gll
 from repro.core.lcc import lcc

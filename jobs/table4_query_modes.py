@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from common import chl_cached, dump_results, fmt, make_spark, print_table
+from common import chl_cached, dump_results, make_spark, print_table
 
 from repro.dist.query_modes import evaluate_query_modes
 from repro.graphs.generators import DATASETS

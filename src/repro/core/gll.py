@@ -85,8 +85,8 @@ def construct_and_clean(
         batch_size = min(max_batch, batch_size * 2)
         t0 = time.perf_counter()
         # Adaptive dispatch: once pruning shrinks trees so far that the
-        # whole batch is less work than one Spark job (~0.2 s for an empty
-        # spark_map of 8 tasks on local[4]), stay serial.
+        # whole batch is less work than one Spark job (~0.1 s for an empty
+        # spark_map of 4 tasks on local[4]), stay serial.
         est_labels = label_rate * len(batch)
         results = build_trees(
             None if est_labels < 4000 else spark,

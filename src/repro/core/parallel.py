@@ -8,9 +8,10 @@ and the snapshot travel to executors as broadcast variables; results
 come back as plain (root, labels) lists.
 
 ``spark_map`` is the one stateless fan-out (broadcast → ``parallelize``
-→ ``collect``): tree batches, large cleaning rounds and the query modes'
-batches all run through it. With ``spark=None`` it runs the identical
-computation serially on the driver — unit tests use that path;
+one slice of the items per core → ``collect``): tree batches, large
+cleaning rounds and the query modes' batches all run through it, each as
+one call and one task wave. With ``spark=None`` it runs the identical
+computation on the driver as one slice — unit tests use that path;
 integration tests and benchmarks use Spark.
 
 Every task function repro ships to Spark starts with
@@ -72,30 +73,26 @@ def freeze_worker_archives() -> None:
     freeze_archives(sys.path_importer_cache, SparkFiles.getRootDirectory())
 
 
-def _n_slices(spark: SparkSession, n_items: int) -> int:
-    return max(1, min(n_items, spark.sparkContext.defaultParallelism * 2))
-
-
 def spark_map(spark: SparkSession | None, fn, items, *shared) -> list:
-    """``[fn(x, *shared) for x in items]``, fanned out over Spark unless
-    ``spark`` is None: each ``shared`` value travels once as a broadcast,
-    the items are split into at most twice-the-cores tasks, and
-    ``collect`` returns the results in ``items`` order."""
+    """``fn(slice, *shared)``, which returns a list, run over consecutive
+    slices of ``items`` of near-equal length, the results joined in
+    ``items`` order. On Spark there is one slice per core,
+    ``min(len(items), defaultParallelism)`` of them, each one task, so the
+    job is one task wave; each ``shared`` value travels once as a
+    broadcast. With ``spark`` None, ``items`` is one slice on the driver."""
     if spark is None:
-        return [fn(x, *shared) for x in items]
+        return fn(items, *shared)
     sc = spark.sparkContext
+    k = max(1, min(len(items), sc.defaultParallelism))
+    slices = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
     bcs = [sc.broadcast(s) for s in shared]
 
-    def task(x):
+    def task(part):
         freeze_worker_archives()
-        return fn(x, *(b.value for b in bcs))
+        return fn(part, *(b.value for b in bcs))
 
     try:
-        return (
-            sc.parallelize(items, _n_slices(spark, len(items)))
-            .map(task)
-            .collect()
-        )
+        return [x for part in sc.parallelize(slices, k).map(task).collect() for x in part]
     finally:
         for b in bcs:
             b.unpersist()
@@ -115,10 +112,11 @@ def build_trees(
     Returns [(root, [(v, dist), ...])], in ``roots`` order.
     """
 
-    def tree(r, g, rank, visible):
-        return r, prune_dij_rq(g, rank, r, visible, use_rank_queries=use_rank_queries)
+    def trees(part, g, rank, visible):
+        return [(r, prune_dij_rq(g, rank, r, visible, use_rank_queries=use_rank_queries))
+                for r in part]
 
-    return spark_map(spark, tree, [int(r) for r in roots], g, as_list(rank), visible)
+    return spark_map(spark, trees, [int(r) for r in roots], g, as_list(rank), visible)
 
 
 def dq_clean(hubs_v, dists_v, hubs_h, dists_h, h: int, delta: int, rank) -> bool:
@@ -139,7 +137,8 @@ def dq_clean(hubs_v, dists_v, hubs_h, dists_h, h: int, delta: int, rank) -> bool
 
 
 def eval_clean_chunk(chunk, witness: LabelStore, rank):
-    """Redundant subset of a chunk of (v, h, delta) candidates."""
+    """Redundant (v, h) pairs of a slice of (v, h, delta) candidates, in
+    candidate order."""
     rank = as_list(rank)
     out = []
     hubs, dists = witness.hubs, witness.dists
@@ -166,14 +165,8 @@ def find_redundant(
     restricting witnesses to same-superstep hubs is exact and is what
     drops GLL's cleaning complexity to O(n·α²) per superstep (paper §4.2).
     """
-    if not candidates:
-        return set()
-    # An empty spark_map job (8 tasks on local[4]) costs ~0.2 s; small
+    # An empty spark_map job (4 tasks on local[4]) costs ~0.1 s; small
     # cleaning rounds (GLL's whole point is that they are small) run on the
     # driver, LCC-sized fan out.
-    if spark is None or len(candidates) < 50_000:
-        return set(eval_clean_chunk(candidates, witness, rank))
-    k = _n_slices(spark, len(candidates))
-    chunks = [candidates[i::k] for i in range(k)]
-    parts = spark_map(spark, eval_clean_chunk, chunks, witness, rank)
-    return {vh for part in parts for vh in part}
+    big = spark if len(candidates) >= 50_000 else None
+    return set(spark_map(big, eval_clean_chunk, candidates, witness, rank))

@@ -116,7 +116,7 @@ def run_windows(
                     by_hub.setdefault(h, []).append((v, d))
             common_updates = sorted(by_hub.items())
             updates = None
-            if doomed or common_updates or budget_bytes is not None:
+            if doomed or common_updates:
                 updates = cluster.broadcast({"doomed": doomed, "common_updates": common_updates})
             pos, x, windows = pos + w, x * BETA, windows + 1
             if plant and psi_per_window[-1][2] > psi_th:

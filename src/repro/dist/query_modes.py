@@ -90,11 +90,12 @@ def qdol_indices(
 # Batch answering (throughput path): route, answer per node, min-reduce.
 # --------------------------------------------------------------------- #
 def _serve(spark, tasks: list, n_pairs: int) -> tuple[np.ndarray, float]:
-    """Each task ``(index, pairs, at)`` is one node answering its pairs as
-    one ``spark_map`` task; the partial answers are min-reduced into an
-    INF-filled vector at positions ``at``. Returns (answers, reduce_s)."""
+    """Each task ``(index, pairs, at)`` is one node answering its pairs;
+    ``spark_map`` runs one slice of the nodes per core. The partial
+    answers are min-reduced into an INF-filled vector at positions
+    ``at``. Returns (answers, reduce_s)."""
     partials = spark_map(
-        spark, lambda t: t[0].query_batch(t[1]), [(idx, p) for idx, p, _ in tasks]
+        spark, lambda ts: [idx.query_batch(p) for idx, p in ts], [(idx, p) for idx, p, _ in tasks]
     )
     t0 = time.perf_counter()
     acc = np.full(n_pairs, INF, dtype=np.int64)

@@ -1,5 +1,1 @@
 """Graph substrate: CSR adjacency, synthetic generators, vertex rankings."""
-from repro.graphs.csr import CSRGraph
-from repro.graphs.generators import DATASETS, build_dataset, GraphSpec
-
-__all__ = ["CSRGraph", "DATASETS", "build_dataset", "GraphSpec"]

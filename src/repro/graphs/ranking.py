@@ -35,15 +35,15 @@ def degree_rank(g: CSRGraph) -> np.ndarray:
     return _scores_to_rank(g.degrees().astype(np.float64))
 
 
-def betweenness_rank(g: CSRGraph, samples: int = 64, seed: int = 7) -> np.ndarray:
+def betweenness_rank(g: CSRGraph, samples: int = 64) -> np.ndarray:
     """Rank by sampled-source Brandes betweenness (paper's road choice).
 
     Runs weighted Brandes (Dijkstra + dependency accumulation) from
-    ``samples`` random sources; cheap and, per the paper, good enough to
-    expose the highway hierarchy.
+    ``samples`` sources drawn with the fixed seed 7; cheap and, per the
+    paper, good enough to expose the highway hierarchy.
     """
     n = g.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     sources = rng.choice(n, size=min(samples, n), replace=False)
     score = [0.0] * n
     adj = g.adjacency()

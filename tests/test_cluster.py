@@ -244,7 +244,7 @@ def test_serial_path_leaves_driver_importers_alone(monkeypatch):
     the interpreter's own (the Spark tasks of other tests run in workers)."""
     monkeypatch.setattr(parallel, "freeze_worker_archives", _refuse)
     monkeypatch.setattr(cluster_mod, "freeze_worker_archives", _refuse)
-    assert spark_map(None, lambda x, k: x * k, [1, 2], 3) == [3, 6]
+    assert spark_map(None, lambda xs, k: [x * k for x in xs], [1, 2], 3) == [3, 6]
     c = SimCluster(None, 2, _counter_init)
     c.superstep(_inc, 1)
     assert c.map_states(lambda i, st: st["count"]) == {0: 1, 1: 1}
@@ -300,4 +300,5 @@ def test_spark_tasks_do_not_reread_spark_archives(spark):
     finally:
         c.free()
     _check_probe(probe)
-    _check_probe(spark_map(spark, _archive_probe, ["pyspark.instrumentation_utils"])[0])
+    _check_probe(spark_map(spark, lambda ms: [_archive_probe(m) for m in ms],
+                           ["pyspark.instrumentation_utils"])[0])

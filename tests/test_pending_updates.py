@@ -64,3 +64,12 @@ def test_dpara_deadline_applies_the_last_merge(monkeypatch):
     position = {int(v): j for j, v in enumerate(roots_by_rank(rank))}
     hubs = {h for _, h, _ in r.store.triplets()}
     assert {position[h] % q for h in hubs} == set(range(q))
+
+
+@pytest.mark.parametrize("name", ["CAL", "SKIT"])
+@pytest.mark.parametrize("run", sorted(BUDGETED))
+def test_budget_adds_no_traffic(run, name):
+    """A budget far above need meters the same bytes and syncs as none:
+    a window with no updates sends nothing, with or without a budget."""
+    g, rank = graph(name), rank_of(name)
+    assert BUDGETED[run](g, rank, 10**12).stats["comm"] == BUDGETED[run](g, rank, None).stats["comm"]

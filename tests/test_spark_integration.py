@@ -7,7 +7,7 @@ import pytest
 from repro.core.gll import construct_and_clean, gll
 from repro.core.labels import LabelStore
 from repro.core.lcc import lcc
-from repro.core.parallel import build_trees, find_redundant
+from repro.core.parallel import build_trees, find_redundant, spark_map
 from repro.core.parapll import spara_pll
 from repro.core.query import QueryIndex, labels_spark_df, spark_query_df
 from repro.core.reference import ground_truth_pairs
@@ -20,8 +20,32 @@ from repro.oracle import assert_equivalent
 from repro.synth_data import graph_edges, query_pairs
 from repro.graphs.ranking import roots_by_rank
 from tests.helpers import TEST_SCALE, chl, chl_set, graph, rank_of
+from tests.test_cluster import _count_jobs
 
 NAMES = ["CAL", "SKIT"]
+
+
+def _scale(xs, k):
+    return [x * k for x in xs]
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 4, 10])
+def test_spark_map_runs_one_slice_per_core(spark, n_items):
+    """spark_map is one Spark job of min(len(items), defaultParallelism)
+    tasks (one for no items), one per consecutive slice of near-equal
+    length, and returns the spark=None results in item order."""
+    items = list(range(n_items))
+    n_slices = max(1, min(n_items, spark.sparkContext.defaultParallelism))
+    group = f"spark-map-{n_items}"
+    with _count_jobs(spark, group) as jobs:
+        out = spark_map(spark, _scale, items, 3)
+    assert jobs == [1]
+    tracker = spark.sparkContext.statusTracker()
+    job = tracker.getJobIdsForGroup(group)[0]
+    assert sum(tracker.getStageInfo(s).numTasks for s in tracker.getJobInfo(job).stageIds) == n_slices
+    assert out == spark_map(None, _scale, items, 3) == [3 * x for x in items]
+    sizes = spark_map(spark, lambda xs: [len(xs)], items)
+    assert len(sizes) == n_slices and sum(sizes) == n_items and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("use_rank_queries", [True, False])
