@@ -208,30 +208,43 @@ T4_NOTES = """
   infeasible exactly on the paper's four datasets (CTR/USA/POK/LIJ). One cell
   differs: the paper also drops QDOL on LIJ; our measured QDOL/node for LIJ
   (2/ζ·L ≈ 1.26 MB) squeezes under the scaled budget, so we report it.
+- *Runs*: each throughput and latency cell is the median of three runs on a
+  4-core box (`local[4]`); every memory cell and the "-" pattern were equal
+  in all three.
 - *Latency*: QLSN < QDOL < QFDL ordering holds (QLSN has no network hop; QDOL
   pays one P2P round-trip; QFDL pays a broadcast + reduction). Network constants
-  are the documented model of DESIGN.md §2.3 (scaled ×10 to keep compute:network
-  ratio faithful given Python-speed query kernels). Each sampled query's
-  compute is timed on the node(s) its mode sends it to. QDOL's routed node
-  holds the full label lists of both endpoints, so its compute is QLSN's
-  within run-to-run noise (CAL 15.7 vs 10.1 µs here; 10.7 vs 11.4 µs when
-  timed back to back); QFDL counts the slowest of its 16 shards per query.
-  POK and LIJ, the largest-ALS rows, have the largest QDOL compute (39 and
-  51 µs). That is where the paper's QFDL overtakes QDOL (POK: 32 vs 34.5 µs);
-  here the modelled 400 µs broadcast + reduction keeps QFDL the slowest.
-- *Throughput*: QDOL beats QFDL on every dataset, as in the paper (each query
-  answered by one node with full locality, multi-node parallelism across the
-  batch). Where QLSN fits the node budget it is the fastest mode here, unlike
-  the paper: one Spark task answers the whole batch from the label lists,
-  while QDOL pays the dispatch of its 15 pair-nodes (8 Spark tasks on 4
-  cores) and the footnote-9 routing. CAL is
-  the exception only because it runs first: its QLSN batch carries the
-  session's Spark warm-up (run after SKIT, CAL's QLSN measured 92.5 kq/s). The
-  paper's QFDL > QLSN gap (multi-node parallelism beating one node) does not
-  materialise at our scale: QFDL's per-node scan of the *whole* batch over
-  1/16th of the labels costs nearly as much per query as QLSN's single scan
-  when label lists are this short. On the largest-ALS rows (USA, POK, LIJ)
-  QLSN does not fit, and QFDL and QDOL are the feasible modes, as in the paper."""
+  are the documented model of DESIGN.md §2.3 (scaled ×10 to keep the
+  compute:network ratio faithful); the compute part still times the scalar
+  Python kernel (`QueryIndex.query`), one query at a time. Each sampled
+  query's compute is timed on the node(s) its mode sends it to. QDOL's
+  routed node holds the full label lists of both endpoints, so its compute
+  is QLSN's within run-to-run noise (CAL 10.4 vs 9.3 µs); QFDL counts the
+  slowest of its 16 shards per query. POK and LIJ, the largest-ALS rows,
+  have the largest QDOL compute (34 and 38 µs). That is where the paper's
+  QFDL overtakes QDOL (POK: 32 vs 34.5 µs); here the modelled 400 µs
+  broadcast + reduction keeps QFDL the slowest. The QLSN cells read 1–3 µs
+  above three runs of the previous kernel on the same box (SKIT 3.3 → 6.1,
+  BDU 5.1 → 8.3 µs), although `query` did not change; the cause is not
+  known.
+- *Throughput*: every node answers its batch with one vectorised kernel
+  (`QueryIndex.query_batch`), which removed the per-pair Python cost. Against
+  three runs of the previous per-pair kernel on the same box, the medians
+  rose 1.3–2.3× for QFDL (e.g. SKIT 121 → 245, POK 73 → 154 kq/s),
+  1.5–2.2× for QLSN (SKIT 278 → 416; not CAL, see below) and up to 1.5× for
+  QDOL on the small-label rows (SKIT 257 → 344); QDOL on USA and LIJ did not
+  move beyond noise (108 → 105, 93 → 88). QDOL beats QFDL on the eight smaller-label rows, as
+  in the paper, but no longer on CTR, USA, POK and LIJ. With the per-pair
+  cost gone, QFDL's 16 scans of the whole batch over 1/16th of the labels
+  touch as many hub entries as QDOL's 15 routed scans over full label
+  lists, and QDOL ships ζ−1 = 5 copies of the labels to QFDL's one (LIJ:
+  11.7 vs 2.6 MB pickled per batch). Where QLSN fits the node budget it is
+  the fastest mode on most rows here, unlike the paper: one Spark task
+  answers the whole batch, while QDOL pays the dispatch of its 15
+  pair-nodes (4 Spark tasks on 4 cores) and the footnote-9 routing. QDOL
+  overtakes it on ACT and BDU. CAL is the exception only because it runs
+  first: its QLSN batch carries the session's Spark warm-up. On the
+  largest-ALS rows (USA, POK, LIJ) QLSN does not fit, and QFDL and QDOL are
+  the feasible modes, as in the paper."""
 
 F8_NOTES = """
 **Shape checks (paper → ours):**

@@ -30,8 +30,9 @@ class LabelStore:
     """Per-vertex hub labels for ``n`` vertices.
 
     ``hubs[v]`` / ``dists[v]`` are parallel Python lists in append order.
-    No reader depends on that order: distance queries, PPSD queries and
-    cleaning all probe a hub→dist dict.
+    No reader depends on that order: distance queries, cleaning and point
+    PPSD queries probe a hub→dist dict, and a PPSD batch sorts a flat
+    copy of the lists per call (``QueryIndex.query_batch``).
     """
 
     n: int

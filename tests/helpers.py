@@ -54,6 +54,14 @@ def pll_store(name: str, scale: float = TEST_SCALE):
     return store
 
 
+def assert_batch_is_scalar(index, pairs) -> None:
+    """``index.query_batch`` answers every pair as the scalar ``query`` does."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    got = index.query_batch(pairs)
+    assert got.dtype == np.int64 and got.shape == (len(pairs),)
+    assert got.tolist() == [index.query(u, v) for u, v in pairs.tolist()]
+
+
 def random_connected_graph(n: int, extra: int, wmax: int, seed: int) -> CSRGraph:
     """Random-cycle-plus-edges graph for property-style tests."""
     g = np.random.default_rng(seed)

@@ -4,23 +4,26 @@ import pandas as pd
 import pytest
 
 from repro.core.labels import INF, LabelStore
-from repro.core.query import QueryIndex, labels_spark_df, spark_query_df
+from repro.core.query import BATCH_CHUNK, QueryIndex, labels_spark_df, spark_query_df
 from repro.core.reference import ground_truth_pairs
 from repro.graphs.csr import from_edges
 from repro.oracle import assert_equivalent
 from repro.synth_data import query_pairs
-from tests.helpers import chl, dist_matrix, graph, rank_of
+from tests.helpers import assert_batch_is_scalar, chl, dist_matrix, graph, rank_of
 
 
 @pytest.mark.parametrize("name", ["CAL", "SKIT", "ACT", "POK"])
 def test_query_index_exact(name):
+    """A batch longer than one chunk, with u == v pairs, answers exactly."""
     g = graph(name)
     idx = QueryIndex.from_store(chl(name))
     D = dist_matrix(name)
-    pairs = query_pairs(n=g.n, n_queries=300).values
+    pairs = query_pairs(n=g.n, n_queries=2 * BATCH_CHUNK + 7).values
+    pairs[::50, 1] = pairs[::50, 0]
     ans = idx.query_batch(pairs)
     truth = np.array([D[u][v] for u, v in pairs])
     assert np.array_equal(ans, truth)
+    assert_batch_is_scalar(idx, pairs)
 
 
 def test_self_query_zero():
@@ -51,6 +54,14 @@ def test_partial_index_returns_partial_min():
     assert idx.query(0, 1) == 3
     empty = _index(2, [])
     assert empty.query(0, 1) == INF
+    # vertex 2 has no labels; vertices 0 and 3 share none
+    sparse = _index(4, [(0, 0, 0), (0, 1, 4), (1, 1, 0), (3, 3, 0), (3, 1, 2)])
+    pairs = [(0, 1), (1, 0), (0, 2), (2, 2), (2, 1), (0, 0), (3, 0), (3, 3), (1, 3)]
+    for index in (idx, empty, sparse):
+        assert_batch_is_scalar(index, np.zeros((0, 2), dtype=np.int64))
+    for index, ps in ((idx, [(0, 1), (1, 1), (0, 0)]), (empty, [(0, 1), (1, 1)]), (sparse, pairs)):
+        assert_batch_is_scalar(index, ps)
+    assert sparse.query_batch(pairs).tolist() == [4, 4, INF, INF, INF, 0, 6, 0, 2]
 
 
 def test_query_index_bytes():
@@ -63,6 +74,11 @@ def test_from_store_shares_lists():
     store = chl("SKIT")
     idx = QueryIndex.from_store(store)
     assert idx.n == store.n
+    assert idx.hubs is store.hubs and idx.dists is store.dists
+    # a batch reads the lists without sorting or caching anything in them
+    before = [list(h) for h in store.hubs], [list(d) for d in store.dists]
+    idx.query_batch(query_pairs(n=store.n, n_queries=500).values)
+    assert ([list(h) for h in store.hubs], [list(d) for d in store.dists]) == before
     assert idx.hubs is store.hubs and idx.dists is store.dists
 
 

@@ -19,7 +19,7 @@ from repro.dist.query_modes import (
 from repro.graphs.csr import from_edges
 from repro.graphs.ranking import degree_rank
 from repro.synth_data import query_pairs
-from tests.helpers import chl, dist_matrix, graph, rank_of
+from tests.helpers import assert_batch_is_scalar, chl, dist_matrix, graph, rank_of
 
 #: Degenerate graphs: one vertex; two vertices, no edge; an isolated
 #: vertex (0) beside two components (1-2-3 and 4-5).
@@ -36,6 +36,17 @@ def _degenerate(name):
     pairs = np.array([(u, v) for u in range(g.n) for v in range(g.n)], dtype=np.int64)
     truth = ground_truth_pairs(g, pairs)["dist"].to_numpy()
     return g, seq_pll(g, rank)[0], rank, pairs, truth
+
+
+def _assert_every_index_is_scalar(store, rank, q, pairs):
+    """The batch kernel equals the scalar query on the full index, on every
+    QFDL shard and on every QDOL node, where partial answers stay INF."""
+    for index in (
+        [QueryIndex.from_store(store)]
+        + shard_by_hub_owner(store, rank, q)
+        + list(qdol_indices(store, q)[1].values())
+    ):
+        assert_batch_is_scalar(index, pairs)
 
 
 def test_zeta_values():
@@ -64,6 +75,7 @@ def test_all_modes_agree_and_match_truth(name, q):
     for mode in ("QLSN", "QFDL", "QDOL"):
         assert res[mode]["supported"]
         assert np.array_equal(res[mode]["answers"], truth), mode
+    _assert_every_index_is_scalar(chl(name), rank_of(name), q, pairs)
 
 
 def test_qfdl_shards_partition_labels():
@@ -112,23 +124,30 @@ def test_qdol_nodes_answer_only_their_own_pairs(monkeypatch):
         nodes.update(built)
         return zeta, built
 
-    asked = []
-    query = QueryIndex.query
+    batched, sampled = [], []
+    query, query_batch = QueryIndex.query, QueryIndex.query_batch
 
     def spy_query(self, u, v):
-        asked.append((self, u, v))
+        sampled.append((self, u, v))
         return query(self, u, v)
+
+    def spy_query_batch(self, pairs):
+        batched.extend((self, u, v) for u, v in np.asarray(pairs).tolist())
+        return query_batch(self, pairs)
 
     monkeypatch.setattr(query_modes, "qdol_indices", spy_indices)
     monkeypatch.setattr(QueryIndex, "query", spy_query)
+    monkeypatch.setattr(QueryIndex, "query_batch", spy_query_batch)
     pairs = query_pairs(n=graph(name).n, n_queries=300, seed=3).values
     res = evaluate_query_modes(None, chl(name), rank_of(name), q, pairs)
     zeta = res["QDOL"]["zeta"]
     key_of = {id(idx): k for k, idx in nodes.items()}
-    got = [(key_of[id(idx)], u, v) for idx, u, v in asked if id(idx) in key_of]
-    assert len(got) == 2 * len(pairs)  # the batch, then the whole pairs as sample
-    for key, u, v in got:
-        assert key == qdol_node_of(u % zeta, v % zeta, zeta), (key, u, v)
+    everything = sorted(map(tuple, pairs.tolist()))
+    for asked in (batched, sampled):  # the batch, then the whole pairs as sample
+        got = [(key_of[id(idx)], u, v) for idx, u, v in asked if id(idx) in key_of]
+        assert sorted((u, v) for _, u, v in got) == everything
+        for key, u, v in got:
+            assert key == qdol_node_of(u % zeta, v % zeta, zeta), (key, u, v)
 
 
 def test_qdol_pairs_cover_all_partitions():
@@ -202,6 +221,7 @@ def test_modes_on_degenerate_graphs(name, q):
     res = evaluate_query_modes(None, store, rank, q, pairs)
     for mode in ("QLSN", "QFDL", "QDOL"):
         assert np.array_equal(res[mode]["answers"], truth), mode
+    _assert_every_index_is_scalar(store, rank, q, pairs)
 
 
 def test_qdol_on_degenerate_graph_through_spark(spark):
