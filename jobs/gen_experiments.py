@@ -187,18 +187,22 @@ T3_NOTES = """
 - *Hard instances*: POK/LIJ have far larger ALS than all others in both (weak
   hierarchy), and they are the slowest rows in both.
 - *seqPLL vs parallel*: the paper gets 6–25× from 72 threads on 10⁷-edge graphs.
-  At lite scale a Spark batch round-trip (~0.1 s for an empty batch of 1–4
-  tasks, one per core) rivals whole-tree cost, so GLL/LCC wall-time only beats
-  seqPLL on the hardest instances (POK: 6.6 s seq vs 3.5/2.6 s LCC/GLL; LIJ:
-  28.4 s seq vs 11.2/7.7 s — a 1.9–3.7× win) — exactly the regime where per-tree work
-  amortises the fan-out. The clean parallel-speedup
+  At lite scale a Spark job (~0.19 s for a GLL batch of 4 tasks, one per
+  core, with next to no work: `parallel.SPARK_JOB_S`) rivals whole-tree cost.
+  GLL/LCC/SparaPLL send a batch or cleaning round to Spark only when its
+  serial seconds, predicted from a sample of its own items run on the driver
+  (`parallel.run_sampled`), × (1 − 1/cores) exceed that cost
+  (`parallel.fan_out`), so the small rows run on the driver and GLL/LCC
+  wall-time only beats seqPLL on the hardest instances (POK: 6.1 s seq vs
+  3.8/3.4 s LCC/GLL; LIJ: 20.4 s seq vs 8.2/7.4 s — a 1.6–2.8× win) —
+  exactly the regime where per-tree work amortises the fan-out. The clean parallel-speedup
   signal at fixed overhead is the Fig. 8 makespan section below.
 - *GLL vs LCC cleaning* (paper Fig. 7): GLL restricts witnesses to the
   superstep-local table; measured per-candidate cleaning cost drops ~2×
-  (15 µs → 7 µs on USA). GLL's cleaning (on the driver below 50 000
-  candidates) takes 9–20 % of its wall time on the scale-free rows and
-  29–41 % on the road rows and POK/LIJ (CAL 0.56 s of 1.91 s, USA 2.94 s of
-  7.19 s) — the paper's own α-tradeoff (Fig. 5)."""
+  (10.5 µs → 4.8 µs on USA, both run on the driver). GLL's cleaning takes
+  13–27 % of its wall time on the scale-free rows, 24–37 % on the road rows
+  and 26–28 % on POK/LIJ (CAL 0.46 s of 1.91 s, USA 2.97 s of 8.11 s) — the
+  paper's own α-tradeoff (Fig. 5). The times are the mean of two runs."""
 
 T4_NOTES = """
 **Shape checks (paper → ours):**

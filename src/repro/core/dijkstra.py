@@ -3,7 +3,8 @@
 These run inside Spark tasks (per root) against a broadcast CSRGraph, and
 on the driver for the sequential baseline. They are pure Python on lists:
 the graph's cached ``adjacency()``, list-held distances and settled flags,
-a rank list, and lazy-deletion binary heaps of plain ``(d, v)`` ints.
+the root's dense label array, a rank list, and lazy-deletion binary heaps
+of plain ``(d, v)`` ints.
 """
 from __future__ import annotations
 
@@ -43,16 +44,17 @@ def reference_dijkstra(g: CSRGraph, src: int) -> np.ndarray:
 
 
 def distance_query(
-    root_hash: dict[int, int], hubs_v: list[int], dists_v: list[int], delta: int
+    root_dist: list[int], hubs_v: list[int], dists_v: list[int], delta: int
 ) -> bool:
     """Alg. 1's DQ: is (root, v) covered within ``delta`` by a common hub?
 
-    ``root_hash`` is hub→dist over the root's visible labels; (hubs_v,
-    dists_v) are v's visible labels. Returns True → prune.
+    ``root_dist`` is the root's dense label array (Akiba et al.'s
+    temporary array): ``root_dist[h]`` is the root's distance to hub h, or
+    INF where h does not label the root. (hubs_v, dists_v) are v's visible
+    labels. Returns True → prune.
     """
     for h, d in zip(hubs_v, dists_v):
-        dr = root_hash.get(h)
-        if dr is not None and dr + d <= delta:
+        if root_dist[h] <= delta - d:  # root_dist[h] + d <= delta, without adding to INF
             return True
     return False
 
@@ -79,8 +81,10 @@ def prune_dij_rq(
     adj = g.adjacency()
     rank = as_list(rank)
     rroot = rank[root]
-    root_hash = dict(zip(visible.hubs[root], visible.dists[root]))
-    root_hash[root] = 0
+    root_dist = [INF] * g.n
+    for h, d in zip(visible.hubs[root], visible.dists[root]):
+        root_dist[h] = d
+    root_dist[root] = 0
     dist = [INF] * g.n
     dist[root] = 0
     done = [False] * g.n
@@ -96,7 +100,7 @@ def prune_dij_rq(
         if use_rank_queries and rank[v] > rroot:
             continue  # Rank-Query prune: no label, no relaxation
         if v != root:
-            if distance_query(root_hash, vh[v], vd[v], d):
+            if distance_query(root_dist, vh[v], vd[v], d):
                 continue  # Distance-Query prune
             if cover is not None and cover[v] <= d:
                 continue  # §5.3 common-table prune

@@ -22,7 +22,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.labels import LabelStore
-from repro.core.parallel import build_trees, find_redundant
+from repro.core.parallel import build_trees, find_redundant, run_sampled
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ranking import roots_by_rank
 
@@ -73,9 +73,11 @@ def construct_and_clean(
         stats["time_clean"] += time.perf_counter() - t0
         stats["supersteps"] += 1
 
+    def run(target, roots):
+        return build_trees(target, g, rank, roots, store, use_rank_queries=use_rank_queries)
+
     pos = 0
     batch_size = p
-    label_rate = float(n)  # labels/root estimate; first trees label a lot
     while pos < n:
         if deadline_s is not None and time.perf_counter() - t_start > deadline_s:
             stats["timed_out"] = True
@@ -84,20 +86,10 @@ def construct_and_clean(
         pos += len(batch)
         batch_size = min(max_batch, batch_size * 2)
         t0 = time.perf_counter()
-        # Adaptive dispatch: once pruning shrinks trees so far that the
-        # whole batch is less work than one Spark job (~0.1 s for an empty
-        # spark_map of 4 tasks on local[4]), stay serial.
-        est_labels = label_rate * len(batch)
-        results = build_trees(
-            None if est_labels < 4000 else spark,
-            g,
-            rank,
-            batch,
-            store,
-            use_rank_queries=use_rank_queries,
-        )
+        # Every tree of the batch prunes against the same snapshot, the
+        # store before this batch's commit, wherever it runs.
+        results = run_sampled(spark, run, batch)
         new = [(v, root, d) for root, labels in results for v, d in labels]
-        label_rate = len(new) / max(1, len(batch))
         store.commit(new)
         local.extend(new)
         stats["labels_generated"] += len(new)

@@ -30,9 +30,10 @@ class LabelStore:
     """Per-vertex hub labels for ``n`` vertices.
 
     ``hubs[v]`` / ``dists[v]`` are parallel Python lists in append order.
-    No reader depends on that order: distance queries, cleaning and point
-    PPSD queries probe a hub→dist dict, and a PPSD batch sorts a flat
-    copy of the lists per call (``QueryIndex.query_batch``).
+    No reader depends on that order: distance queries and cleaning probe
+    a dense per-root or per-hub distance array, point PPSD queries a
+    hub→dist dict, and a PPSD batch sorts a flat copy of the lists per
+    call (``QueryIndex.query_batch``).
     """
 
     n: int

@@ -27,14 +27,26 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 import zipimport
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.dijkstra import as_list, prune_dij_rq
-from repro.core.labels import LabelStore
+from repro.core.dijkstra import as_list, distance_query, prune_dij_rq
+from repro.core.labels import INF, LabelStore
 from repro.graphs.csr import CSRGraph
+
+
+#: Seconds one ``spark_map`` job of one task wave costs beyond its work.
+#: Measured on Spark ``local[4]`` (4 cores, CPython 3.11, PySpark 4.1.2)
+#: as the wall time of GLL tree batches whose trees take under 0.05 s on
+#: the driver, so that the job is nearly all cost: 12 such batches of
+#: 80–512 trees, one per graph and batch, on the n = 800 random graph of
+#: degree 12 and Table 3's CAL, USA, POK and LIJ, read 0.13–0.26 s,
+#: median 0.19 s. Fitting every batch of those runs (36, with up to 2.3 s
+#: of trees) as cost + slope × driver seconds gives the same 0.18 s.
+SPARK_JOB_S = 0.19
 
 
 class _FrozenZipImporter(zipimport.zipimporter):
@@ -98,6 +110,43 @@ def spark_map(spark: SparkSession | None, fn, items, *shared) -> list:
             b.unpersist()
 
 
+def fan_out(spark: SparkSession | None, serial_s: float) -> SparkSession | None:
+    """Where to run work predicted to take ``serial_s`` seconds on the
+    driver: ``spark`` if spreading it over ``defaultParallelism`` cores
+    saves more than one Spark job costs, ``serial_s`` × (1 − 1/cores) >
+    ``SPARK_JOB_S``, else None (the driver)."""
+    if spark is None:
+        return None
+    saved = serial_s * (1 - 1 / spark.sparkContext.defaultParallelism)
+    return spark if saved > SPARK_JOB_S else None
+
+
+def run_sampled(spark: SparkSession | None, run, items) -> list:
+    """``run(target, part)``, which returns a list, over ``items``, with
+    the results joined in ``items`` order. The items run on the driver
+    (``target`` None) from the end, in chunks of 1, 2, 4, … items, until
+    the sample is long enough to go by and its seconds per item predict
+    that the items left are worth a Spark job (``fan_out``); those then
+    run as one ``run(spark, part)``.
+
+    The sample comes from the end because GLL's trees come in rank order
+    and shrink along it, so a sample from the front predicts the rest too
+    slow. It must last a quarter of ``SPARK_JOB_S`` before it may send
+    work to Spark: a sample of a few items is mostly a cleaning hub's
+    array fill or a garbage collection, and on the n = 800 graph of
+    ``kernel-dense`` such samples predicted 0.3–1.8 s for GLL batches and
+    rounds that take under 0.2 s on the driver.
+    """
+    out, left, k, t0 = [], len(items), 1, time.perf_counter()
+    while left:
+        done, elapsed = len(items) - left, time.perf_counter() - t0
+        if done and elapsed >= SPARK_JOB_S / 4 and fan_out(spark, elapsed / done * left):
+            return run(spark, items[:left]) + out
+        out = run(None, items[max(0, left - k) : left]) + out
+        left, k = max(0, left - k), 2 * k
+    return out
+
+
 def build_trees(
     spark: SparkSession | None,
     g: CSRGraph,
@@ -119,33 +168,36 @@ def build_trees(
     return spark_map(spark, trees, [int(r) for r in roots], g, as_list(rank), visible)
 
 
-def dq_clean(hubs_v, dists_v, hubs_h, dists_h, h: int, delta: int, rank) -> bool:
-    """Alg. 2's DQ_Clean: is label (h, delta) of v redundant?
-
-    True iff some common hub w of L_v and L_h with R(w) > R(h) satisfies
-    d(v,w) + d(h,w) ≤ delta. Label lists are in append order, so L_h
-    becomes a hub→dist dict, L_v probes it, and rank is checked only on
-    a hit that is short enough. ``rank`` is a list or numpy array.
-    """
-    rh = rank[h]
-    dist_h = dict(zip(hubs_h, dists_h))
-    for w, d in zip(hubs_v, dists_v):
-        e = dist_h.get(w)
-        if e is not None and d + e <= delta and rank[w] > rh:
-            return True
-    return False
-
-
 def eval_clean_chunk(chunk, witness: LabelStore, rank):
     """Redundant (v, h) pairs of a slice of (v, h, delta) candidates, in
-    candidate order."""
+    candidate order.
+
+    Alg. 2's DQ_Clean: label (h, delta) of v is redundant iff some common
+    hub w of L_v and L_h with R(w) > R(h) has d(v,w) + d(h,w) ≤ delta. That
+    is Alg. 1's ``distance_query`` on ``above_h``, L_h's dense array of
+    only those hubs (``above_h[w]`` = d(h, w) where R(w) > R(h), INF
+    elsewhere), so a hit needs no rank check. The array is filled when the
+    candidates' hub changes and its entries reset before the next hub's
+    fill. GLL, LCC and DGLL hand the candidates over grouped by hub, so
+    each hub is filled once; any other order gives the same pairs.
+    """
     rank = as_list(rank)
     out = []
     hubs, dists = witness.hubs, witness.dists
+    above_h = [INF] * witness.n
+    h_cur = None
     for v, h, delta in chunk:
         if v == h:
             continue  # self-labels are never redundant
-        if dq_clean(hubs[v], dists[v], hubs[h], dists[h], h, delta, rank):
+        if h != h_cur:
+            if h_cur is not None:
+                for w in hubs[h_cur]:
+                    above_h[w] = INF
+            h_cur, rh = h, rank[h]
+            for w, d in zip(hubs[h], dists[h]):
+                if rank[w] > rh:
+                    above_h[w] = d
+        if distance_query(above_h, hubs[v], dists[v], delta):
             out.append((v, h))
     return out
 
@@ -165,8 +217,11 @@ def find_redundant(
     restricting witnesses to same-superstep hubs is exact and is what
     drops GLL's cleaning complexity to O(n·α²) per superstep (paper §4.2).
     """
-    # An empty spark_map job (4 tasks on local[4]) costs ~0.1 s; small
-    # cleaning rounds (GLL's whole point is that they are small) run on the
-    # driver, LCC-sized fan out.
-    big = spark if len(candidates) >= 50_000 else None
-    return set(spark_map(big, eval_clean_chunk, candidates, witness, rank))
+    # Small rounds (GLL's whole point is that they are small) finish on
+    # the driver; LCC-sized ones fan out after the sample's SPARK_JOB_S/4.
+    rank = as_list(rank)  # converted once, not once per driver chunk
+
+    def run(target, part):
+        return spark_map(target, eval_clean_chunk, part, witness, rank)
+
+    return set(run_sampled(spark, run, candidates))

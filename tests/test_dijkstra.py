@@ -54,10 +54,11 @@ def test_dijkstra_unreachable():
 
 
 def test_distance_query_semantics():
-    root_hash = {7: 3, 9: 10}
-    assert distance_query(root_hash, [7, 8], [4, 1], 7) is True  # 3+4 <= 7
-    assert distance_query(root_hash, [7], [5], 7) is False  # 3+5 > 7
-    assert distance_query(root_hash, [8], [1], 100) is False  # no common hub
+    root_dist = [INF] * 10  # the root's labels: hub 7 at 3, hub 9 at 10
+    root_dist[7], root_dist[9] = 3, 10
+    assert distance_query(root_dist, [7, 8], [4, 1], 7) is True  # 3+4 <= 7
+    assert distance_query(root_dist, [7], [5], 7) is False  # 3+5 > 7
+    assert distance_query(root_dist, [8], [1], 100) is False  # no common hub
 
 
 def test_prune_dij_rq_empty_store_is_full_tree():

@@ -1,10 +1,15 @@
 """LCC and GLL (shared-memory optimistic parallel) correctness + behaviour."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core import parallel
+from repro.core.dijkstra import distance_query
 from repro.core.gll import construct_and_clean, gll
+from repro.core.labels import INF, LabelStore
 from repro.core.lcc import lcc
-from repro.core.parallel import dq_clean, find_redundant
+from repro.core.parallel import eval_clean_chunk, fan_out, find_redundant, run_sampled
 from repro.core.reference import brute_chl
 from tests.helpers import (
     CORE_DATASETS,
@@ -82,21 +87,88 @@ def test_cleaning_ignores_label_order():
     assert find_redundant(None, store, cands, rank) == doomed
 
 
+def _above(hubs_h, dists_h, h, rank):
+    """L_h's dense array over the hubs that outrank h, as eval_clean_chunk
+    builds it."""
+    out = [INF] * len(rank)
+    for w, d in zip(hubs_h, dists_h):
+        if rank[w] > rank[h]:
+            out[w] = d
+    return out
+
+
 def test_dq_clean_basic():
     # L_v = [(9, 2), (5, 4)], L_h(h=5) = [(9, 3), (5, 0)], rank = identity
     rank = np.arange(10)
+    above_h = _above([9, 5], [3, 0], 5, rank)
     # label (5, d=5) at v: common hub 9 gives 2+3=5 <= 5 → redundant
-    assert dq_clean([9, 5], [2, 4], [9, 5], [3, 0], 5, 5, rank)
+    assert distance_query(above_h, [9, 5], [2, 4], 5)
     # tighter delta: not redundant
-    assert not dq_clean([9, 5], [2, 4], [9, 5], [3, 0], 5, 4, rank)
+    assert not distance_query(above_h, [9, 5], [2, 4], 4)
     # no common hub above rank(h)
-    assert not dq_clean([5], [4], [9, 5], [3, 0], 5, 100, rank)
+    assert not distance_query(above_h, [5], [4], 100)
 
 
 def test_dq_clean_stops_at_rank_of_h():
     rank = np.arange(10)
     # common hub 3 (below h=5) would "witness" but must be ignored
-    assert not dq_clean([9, 3], [2, 1], [8, 3], [3, 1], 5, 100, rank)
+    assert not distance_query(_above([8, 3], [3, 1], 5, rank), [9, 3], [2, 1], 100)
+    # and eval_clean_chunk leaves it out of L_h's array: v = 0, h = 5
+    witness = LabelStore.from_triplets(10, [(0, 9, 2), (0, 3, 1), (5, 8, 3), (5, 3, 1)])
+    assert eval_clean_chunk([(0, 5, 100)], witness, rank) == []
+
+
+def test_clean_chunk_resets_hub_array():
+    """Candidates of hub 5 in two runs around a run of hub 2, whose L_h
+    holds hub 3 (R(2) < R(3) < R(5)). Were hub 2's entry for hub 3 left in
+    the array, it would witness (1, 5): d(1, 3) + d(2, 3) = 2 ≤ 2."""
+    rank = np.arange(6)
+    witness = LabelStore.from_triplets(
+        6,
+        [(0, 3, 1), (0, 5, 2), (1, 3, 1), (1, 5, 2), (1, 2, 5), (2, 3, 1), (2, 2, 0), (5, 5, 0)],
+    )
+    grouped = [(0, 5, 2), (1, 5, 2), (1, 2, 5)]
+    split = [(0, 5, 2), (1, 2, 5), (1, 5, 2)]
+    assert eval_clean_chunk(grouped, witness, rank) == [(1, 2)]
+    assert eval_clean_chunk(split, witness, rank) == [(1, 2)]
+
+
+def test_fan_out_rule():
+    """Work fans out only when its serial seconds × (1 − 1/cores) exceed
+    the job cost: on 4 cores the threshold is 4/3 of SPARK_JOB_S, and on
+    one core or with no Spark session nothing fans out."""
+    four = SimpleNamespace(sparkContext=SimpleNamespace(defaultParallelism=4))
+    one = SimpleNamespace(sparkContext=SimpleNamespace(defaultParallelism=1))
+    at = parallel.SPARK_JOB_S * 4 / 3
+    assert fan_out(four, at * 1.01) is four
+    assert fan_out(four, at * 0.99) is None
+    assert fan_out(one, 1e6) is None
+    assert fan_out(None, 1e6) is None
+
+
+def test_run_sampled_samples_from_the_end(monkeypatch):
+    """run_sampled runs chunks of 1, 2, 4, … items from the end on the
+    driver while fan_out says so, then the items left as one Spark part,
+    and returns the results in item order either way."""
+    four = SimpleNamespace(sparkContext=SimpleNamespace(defaultParallelism=4))
+    items = list(range(10))
+    calls = []
+
+    def run(target, part):
+        calls.append((target, list(part)))
+        return [10 * x for x in part]
+
+    monkeypatch.setattr(parallel, "SPARK_JOB_S", float("inf"))
+    assert run_sampled(four, run, items) == [10 * x for x in items]
+    assert calls == [(None, [9]), (None, [7, 8]), (None, [3, 4, 5, 6]), (None, [0, 1, 2])]
+    calls.clear()
+    monkeypatch.setattr(parallel, "SPARK_JOB_S", -1.0)
+    assert run_sampled(four, run, items) == [10 * x for x in items]
+    assert calls == [(None, [9]), (four, list(range(9)))]
+    calls.clear()
+    assert run_sampled(None, run, items) == [10 * x for x in items]
+    assert all(t is None for t, _ in calls)
+    assert run_sampled(four, run, []) == []
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -4,6 +4,7 @@ against DuckDB through the oracle."""
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.gll import construct_and_clean, gll
 from repro.core.labels import LabelStore
 from repro.core.lcc import lcc
@@ -65,23 +66,39 @@ def test_spark_build_trees_equals_serial(spark, use_rank_queries):
     assert trees == build_trees(None, *args, use_rank_queries=use_rank_queries)
 
 
-def test_spark_find_redundant_equals_serial(spark):
-    """A cleaning round large enough for the Spark branch finds the serial
-    redundant set. The round is m disjoint copies of one uncleaned
-    labeling (vertex and rank ids shifted per copy), so every candidate
-    and every redundant label is distinct."""
+def test_spark_find_redundant_equals_serial(spark, monkeypatch):
+    """A cleaning round sent to Spark finds the serial redundant set. The
+    round is m disjoint copies of one uncleaned labeling (vertex and rank
+    ids shifted per copy), so every candidate and every redundant label is
+    distinct. A negative job cost makes fan_out pick Spark on any core
+    count, so all but the round's last candidate run as one Spark job."""
+    monkeypatch.setattr(parallel, "SPARK_JOB_S", -1.0)
     name = "POK"
     g, rank = graph(name), rank_of(name)
     store, _ = construct_and_clean(None, g, rank, p=16, alpha=None, clean=False)
     one = store.triplets()
-    m, n = -(-50_000 // len(one)), g.n
+    m, n = 4, g.n
     ranks = np.concatenate([rank + c * n for c in range(m)])
     cands = [(v + c * n, h + c * n, d) for c in range(m) for v, h, d in one]
     witness = LabelStore.from_triplets(m * n, cands)
-    doomed = find_redundant(spark, witness, cands, ranks)
+    with _count_jobs(spark, "find-redundant") as jobs:
+        doomed = find_redundant(spark, witness, cands, ranks)
+    assert jobs == [1]
     assert doomed == find_redundant(None, witness, cands, ranks)
     once = find_redundant(None, store, one, rank)
     assert once and doomed == {(v + c * n, h + c * n) for c in range(m) for v, h in once}
+
+
+def test_spark_gll_fans_out_when_jobs_cost_nothing(spark, monkeypatch):
+    """With a negative job cost every batch and every cleaning round fans
+    out after its last item, on any core count, and GLL still builds the
+    CHL."""
+    monkeypatch.setattr(parallel, "SPARK_JOB_S", -1.0)
+    name = "SKIT"
+    with _count_jobs(spark, "gll-free-jobs") as jobs:
+        store, _ = gll(spark, graph(name), rank_of(name), p=8)
+    assert store.canonical_set() == chl_set(name)
+    assert jobs[0] > 0
 
 
 @pytest.mark.parametrize("name", NAMES)
