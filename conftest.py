@@ -59,7 +59,9 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Broadcast joins are disabled, so the label self-join of the Spark SQL
-    query path runs as a shuffle join.
+    query path runs as a shuffle join. The Python workers talk to the JVM
+    over Unix-domain sockets: over TCP every task spends ~40–50 ms after
+    its function returns (DESIGN.md § 3).
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -69,6 +71,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.unix.domain.socket.enabled", "true")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -18,7 +18,9 @@ in seed order so that the interleaved pairs can be read off:
 - ``traced``: from the ``--trace 1`` runs, every per-layer time, the
   node-work makespan and total apart from them (node compute, not wall
   time), and every count and byte metric, which read the same on both
-  sides when a change leaves the work unchanged.
+  sides when a change leaves the work unchanged; plus, from the runs'
+  spans files, the calls per round behind each ``cluster.*`` time
+  (``cluster.map_states`` is a run's final read as a Spark job of its own).
 """
 from __future__ import annotations
 
@@ -34,7 +36,23 @@ NODE_WORK = ("engine.node_work_makespan_s", "engine.node_work_total_s")
 
 
 def load(directory: Path) -> list[dict]:
-    return [json.loads(p.read_text()) for p in sorted(directory.glob("result-*.json"))]
+    """Each run's result, with the path of its spans file (traced runs)."""
+    runs = []
+    for p in sorted(directory.glob("result-*.json")):
+        spans = p.with_name(p.name.replace("result-", "spans-", 1)).with_suffix(".jsonl")
+        runs.append({**json.loads(p.read_text()), "spans": spans})
+    return runs
+
+
+def span_calls(run: dict) -> dict:
+    """Calls per round of each ``cluster.*`` span (SimCluster's init,
+    supersteps and final reads) in a traced run's spans file."""
+    calls: dict = {}
+    for line in run["spans"].read_text().splitlines():
+        name = json.loads(line)["name"]
+        if name.startswith("cluster."):
+            calls[name] = calls.get(name, 0) + 1
+    return {k: v / max(1, run["rounds"]) for k, v in sorted(calls.items())}
 
 
 def summary(vals: list[float]) -> dict:
@@ -97,6 +115,13 @@ def workload_report(before: list[dict], after: list[dict], end_to_end: list[str]
                 for k, v in compare(*traced, counts, metric).items()
             },
         }
+        calls = [[span_calls(r) for r in rs if r["spans"].is_file()] for rs in traced]
+        if calls[0] and calls[1]:
+            names = sorted({k for side in calls for c in side for k in c})
+            report["traced"]["span_calls_per_round"] = {
+                k: {"before": [c.get(k, 0.0) for c in calls[0]], "after": [c.get(k, 0.0) for c in calls[1]]}
+                for k in names
+            }
     return report
 
 

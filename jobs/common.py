@@ -18,7 +18,8 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def make_spark(app: str):
-    """Session for standalone spark-submit runs (tests use conftest's)."""
+    """Session for standalone spark-submit runs (tests use conftest's).
+    Python workers use Unix-domain sockets, as in conftest's session."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --driver-memory 8g "
@@ -31,6 +32,7 @@ def make_spark(app: str):
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.unix.domain.socket.enabled", "true")
         .getOrCreate()
     )
 

@@ -253,36 +253,43 @@ T4_NOTES = """
 F8_NOTES = """
 **Shape checks (paper → ours):**
 - *PLaNT scales near-linearly with zero label traffic* (paper: avg 42× on 64
-  nodes): our per-node work makespan drops 7.8× (CAL 0.94→0.12 s), 9.2×
-  (SKIT 0.92→0.10 s), 9.7× (ACT 3.02→0.31 s) and 12.7× (POK 10.05→0.79 s)
-  from q=1 to q=16, with 0 communicated bytes at every q.
+  nodes): our per-node work makespan drops 4.7× (CAL 0.52→0.11 s), 12.9×
+  (SKIT 0.90→0.07 s), 10.7× (ACT 2.24→0.21 s) and 7.6× (POK 5.20→0.68 s)
+  from q=1 to q=16, with 0 communicated bytes at every q. Each cell is one
+  run, and the makespans below ~0.2 s move by tens of percent between runs.
 - *DGLL/DparaPLL do not scale*: their delivered broadcast volume grows ~q²
   (CAL DGLL 1.4→13.9→108 MB) and wall time *rises* from q=4 to q=16 on every
-  dataset (CAL DGLL 2.99→11.03 s) — the paper's flat/worsening curves.
+  dataset (CAL DGLL 2.58→6.90 s) — the paper's flat/worsening curves.
 - *DparaPLL label explosion (Fig. 9)*: ALS grows with q (CAL 36.6→101.8→235.4;
   SKIT 14.2→165.8→325.9) while Hybrid/DGLL/PLaNT output the CHL ALS at every q;
   under the scaled node budget DparaPLL OOMs on the dense weak-hierarchy POK at
   q=16 — the paper's missing curves.
 - *Topology split*: on scale-free graphs Hybrid's makespan beats pure PLaNT
-  (ACT q=1: 1.49 vs 3.02 s, where the paper reports an order of magnitude;
-  q=16: 0.15 vs 0.31 s) because the low-yield tail is DGLL-pruned; on road networks
+  (ACT q=1: 0.92 vs 2.24 s, where the paper reports an order of magnitude;
+  q=16: 0.10 vs 0.21 s) because the low-yield tail is DGLL-pruned; on road networks
   PLaNT alone is already efficient and Hybrid ≈ PLaNT + sync cost.
 - *Small-dataset caveat, as in the paper (§7.3)*: at our scale "even few
   synchronizations … dominate the small pre-processing time" — Hybrid/DGLL wall
   time is mostly fixed per-superstep Spark cost, so the compute story is the
-  makespan column. An empty superstep costs about 0.14 s at q=4 and 0.37 s
-  at q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 still spends 11.0 s of
-  wall time on 0.17 s of makespan. Stopping the Python workers from
-  re-reading Spark's jar and zip archives before every task (DESIGN.md §3)
-  cut these wall times again: the median row is 0.51, 0.52 and 0.33 of the
-  previous run at q=1, 4 and 16, with every comm-MB and ALS cell equal.
-  PLaNT (no traffic, no cleaning supersteps) has a lower wall time than DGLL
-  and Hybrid on every dataset at q=16, on all but ACT at q=4 (Hybrid 1.51 vs
-  PLaNT 1.56 s) and on CAL at q=1, the communication-avoidance thesis; at
-  q=1 there is no traffic to avoid. DparaPLL, whose replica merge rides in
-  its next build superstep (one Spark job per sync), is faster than PLaNT at
-  q=1 on SKIT, ACT and POK, slower at q=16 wherever it fits in memory, and
-  pays for its speed with the label explosion above.
+  makespan column. An empty superstep costs about 0.15 s at q=4 and 0.34 s
+  at q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 still spends 6.9 s of
+  wall time on 0.17 s of makespan. A PLaNT run needs no synchronisation
+  until its output is read (§5.2), so its windows share one superstep,
+  which also returns the read (DESIGN.md §3): it is one Spark job at every
+  q. Against a run of the previous driver (one superstep per window, then
+  a read job) on the same box its wall time fell at every q (CAL q=16
+  1.86→0.56 s, SKIT 1.82→0.44 s, ACT 2.43→0.85 s, POK 4.19→2.40 s), with
+  every comm-MB and ALS cell equal. Part of that is this run's Spark
+  session, which also moved the Python workers to Unix-domain sockets
+  (DESIGN.md §3) and lowers the cells whose job count did not change too
+  (CAL DGLL q=16 7.71→6.90 s); an empty q=16 superstep went from 0.44 to
+  0.34 s with it.
+  PLaNT (no traffic, one superstep) has the lowest wall time on every
+  dataset at q=4 and q=16 and on CAL at q=1, the communication-avoidance
+  thesis; at q=1 there is no traffic to avoid. DparaPLL, whose replica
+  merge rides in its next build superstep (one Spark job per sync), is
+  faster than PLaNT at q=1 on SKIT, ACT and POK, slower at q=16 wherever
+  it fits in memory, and pays for its speed with the label explosion above.
 """
 
 

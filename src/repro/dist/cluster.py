@@ -17,7 +17,11 @@ The driver plays the MPI runtime: payloads move as Spark broadcasts
 Every such event is metered in ``CommCounter`` — the paper's scalability
 story is precisely about this traffic (§5.2: PLaNT's zero label traffic).
 As in BSP, a message costs no job of its own: what ``broadcast`` meters
-rides in the next superstep's payload (or in the final ``map_states``).
+rides in the next superstep's payload (or in the final ``map_states``),
+and a superstep is a sync point, not a unit of work: a driver may give
+the nodes several rounds of work in one payload when it need not act
+between them (``repro.dist.dgll.run_windows`` does so with PLaNT's
+windows, and its last superstep can return the run's read).
 
 Every task function here starts with ``freeze_worker_archives``
 (``repro.core.parallel``), which stops PySpark's worker from re-reading

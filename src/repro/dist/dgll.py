@@ -73,6 +73,17 @@ def run_windows(
     at n/8, so the switch gets enough checkpoints before the tail is gone.
     The η top-ranked hubs' labels are replicated as the Common Label
     Table (§5.3); a node over ``budget_bytes`` raises OOMError.
+
+    A superstep ends only where the driver has to act on a window: after
+    a DGLL window (cleaning), a window holding top-η roots (its table
+    rows are broadcast) or a PLaNT window when Ψ_th is finite (the switch
+    check). Consecutive windows up to such a point run as one superstep,
+    which reports every window on its own, so Ψ, the budget checks and
+    the metered bytes are those of one superstep per window. When the
+    last superstep leaves nothing to apply (it ends in a PLaNT window
+    with no top-η root), the run's read rides on it. The deadline is
+    checked between supersteps, so a run can overrun it by one superstep;
+    ``stats["supersteps"]`` counts the windows run.
     """
     t0 = time.perf_counter()
     n = g.n
@@ -80,33 +91,47 @@ def run_windows(
     top_hubs = [int(r) for r in roots_by_rank(rank)[:eta]]
     top = frozenset(top_hubs)
     cap = max(x1, n // 8) if math.isfinite(psi_th) else n
+    keep = (lambda i, st: st.store.triplets()) if collect else (lambda i, st: None)
     with node_cluster(spark, g, rank, q, top_hubs) as (cluster, get):
-        build = {e: construct_fn(get, e, top) for e in ("plant", "dgll")}
+        build = {e: construct_fn(get, e, top, keep) for e in ("plant", "dgll")}
         cleaner = clean_fn(get)
         plant = psi_th >= 0.0  # Ψ before position 0 counts as 0
         switch_pos = None if plant else 0
         psi_per_window = []
         pos, x, windows, timed_out = 0, x1, 0, False
-        updates = None  # the last window's, applied by the next superstep
+        updates = None  # the last superstep's, applied by the next one
+        reads = None  # the nodes' read, when it rode on the last superstep
         while pos < n:
             if out_of_time(t0, deadline_s):
                 timed_out = True
                 break
-            w = min(int(x), n - pos, cap if plant else n)
+            plan, end = [], pos  # this superstep's windows
+            while end < n:
+                w = min(int(x), n - end, cap if plant else n)
+                plan.append((end, w))
+                end, x = end + w, x * BETA
+                if not plant or end - w < eta or math.isfinite(psi_th):
+                    break  # the driver acts on this window
+            read = plant and end == n and plan[-1][0] >= eta
             outs = cluster.superstep(
                 build["plant" if plant else "dgll"],
-                {"pos": pos, "x": w, "q": q, "updates": updates},
+                {"windows": plan, "q": q, "updates": updates, "read": read},
             )
-            check_budget({i: o.pop("mem") for i, o in outs.items()}, budget_bytes)
-            new = [t for o in outs.values() for t in o["new"]]
-            if top_hubs or not plant:
-                cluster.gather(outs)  # labels leave their nodes: metered
+            if read:
+                reads = {i: o.pop("read") for i, o in outs.items()}
+            new = []
+            for k, (p, w) in enumerate(plan):
+                per_node = {i: o["windows"][k] for i, o in outs.items()}
+                check_budget({i: o.pop("mem") for i, o in per_node.items()}, budget_bytes)
+                new += [t for o in per_node.values() for t in o["new"]]
+                if top_hubs or not plant:
+                    cluster.gather(per_node)  # labels leave their nodes: metered
+                if plant:
+                    explored = sum(o["explored_window"] for o in per_node.values())
+                    n_new = sum(o["n_labels"] for o in per_node.values())
+                    psi_per_window.append((p, w, explored / max(1, n_new)))
             doomed: set = set()
-            if plant:
-                explored = sum(o["explored_window"] for o in outs.values())
-                n_new = sum(o["n_labels"] for o in outs.values())
-                psi_per_window.append((pos, w, explored / max(1, n_new)))
-            elif new:  # DGLL cleaning: label broadcast + bitvector all-reduce
+            if not plant and new:  # DGLL cleaning: label broadcast + bitvector all-reduce
                 doomed = cluster.allreduce_or(cluster.superstep(cleaner, cluster.broadcast(new)))
             # Common-table updates: surviving labels of the top-η hubs are
             # replicated everywhere (paper §5.3) — metered via the payload.
@@ -118,11 +143,10 @@ def run_windows(
             updates = None
             if doomed or common_updates:
                 updates = cluster.broadcast({"doomed": doomed, "common_updates": common_updates})
-            pos, x, windows = pos + w, x * BETA, windows + 1
+            pos, windows = end, windows + len(plan)
             if plant and psi_per_window[-1][2] > psi_th:
                 plant, x, switch_pos = False, x1, pos
-        stats, shards = read_nodes(cluster, lambda i, st: st.store.triplets() if collect else None,
-                                   apply_updates, updates, budget_bytes)
+        stats, shards = read_nodes(cluster, keep, apply_updates, updates, budget_bytes, reads)
         stats.update(
             psi_per_window=psi_per_window,
             timed_out=timed_out,

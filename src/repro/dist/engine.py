@@ -11,7 +11,8 @@ The superstep functions below run inside SimCluster (RDD partitions or
 the serial fallback) and are deliberately free of driver state: all
 inputs arrive via the ctx broadcast (graph, rank, root order) or the
 superstep payload, which also carries the previous superstep's updates for
-the nodes to ``settle`` first (the last ones ride on ``read_nodes``).
+the nodes to ``settle`` first (the last ones ride on ``read_nodes``, or,
+when there are none, the read rides on the last superstep).
 """
 from __future__ import annotations
 
@@ -68,22 +69,35 @@ def my_roots(order: np.ndarray, pos: int, x: int, q: int, node_id: int):
 # --------------------------------------------------------------------- #
 # Superstep functions (run on nodes).
 # --------------------------------------------------------------------- #
-def construct_fn(get, engine: str, top_hubs: frozenset = frozenset()):
-    """Build this node's trees for the superstep's rank window.
+def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None):
+    """Build this node's trees for the superstep's rank windows.
 
     engine='dgll': pruned Dijkstra with rank queries against the node's
     own shard (+ common table). engine='plant': PLaNTed trees (+ common
-    table pruning). The previous window's updates, ``payload["updates"]``,
-    are applied first. New labels go into the node's shard immediately
-    (visible to its own later trees, like GLL's local table) and are also
-    reported back for the cleaning round.
+    table pruning). The previous superstep's updates, ``payload["updates"]``,
+    are applied first; then the windows ``payload["windows"]``, a list of
+    ``(pos, x)``, are built in order. New labels go into the node's shard
+    immediately (visible to its own later trees, like GLL's local table)
+    and are also reported back for the cleaning round. The output holds
+    one dict per window under ``"windows"``, each what a superstep of that
+    window alone would return, and, when ``payload["read"]`` is set, the
+    node's ``read_state`` (with ``keep``) after the last window.
     """
 
     def fn(node_id, st: NodeState, payload):
         g, rank, order = get()
         mem = settle(apply_updates, node_id, st, payload.get("updates"))
-        pos, x, q = payload["pos"], payload["x"], payload["q"]
-        roots = my_roots(order, pos, x, q, node_id)
+        windows = []
+        for pos, x in payload["windows"]:
+            if windows:  # nothing is applied between the windows of a superstep
+                mem = st.mem_bytes()
+            windows.append(build_window(g, rank, st, my_roots(order, pos, x, payload["q"], node_id), mem))
+        out = {"windows": windows}
+        if payload.get("read"):
+            out["read"] = read_state(st, st.mem_bytes(), keep(node_id, st))
+        return st, out
+
+    def build_window(g, rank, st: NodeState, roots, mem) -> dict:
         new: list = []
         explored_window = 0
         t0 = time.perf_counter()
@@ -105,9 +119,9 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset()):
             shipped = new
         else:
             shipped = [(v, h, d) for v, h, d in new if h in top_hubs]
-        # This whole dict is the gathered (metered) payload, counters
-        # included; the driver pops ``mem`` before it gathers.
-        return st, {
+        # This whole dict is the window's gathered (metered) payload,
+        # counters included; the driver pops ``mem`` before it gathers.
+        return {
             "mem": mem,
             "new": shipped,
             "n_labels": len(new),
@@ -187,17 +201,24 @@ def check_budget(mems: dict, budget_bytes: int | None) -> None:
         )
 
 
-def read_nodes(cluster, keep, apply, updates, budget_bytes) -> tuple[dict, dict]:
+def read_state(st: NodeState, mem: int, kept) -> tuple:
+    """What a run's read returns of one node whose memory is ``mem``."""
+    return st.work_s, mem, st.store.num_labels(), st.explored, kept
+
+
+def read_nodes(cluster, keep, apply, updates, budget_bytes, per_node=None) -> tuple[dict, dict]:
     """A run's one read of its nodes, after it settles the last ``updates``
     and checks the budget on the memory after them: the run's stats from
     the node counters, and ``{node: keep(node, state)}``, what the driver
-    keeps of each node."""
+    keeps of each node. ``per_node`` is ``{node: read_state}`` when the
+    run's last superstep already returned it (it left nothing to apply);
+    then the read takes no Spark job of its own."""
 
     def read(i, st: NodeState):
-        mem = settle(apply, i, st, updates)
-        return st.work_s, mem, st.store.num_labels(), st.explored, keep(i, st)
+        return read_state(st, settle(apply, i, st, updates), keep(i, st))
 
-    per_node = cluster.map_states(read)
+    if per_node is None:
+        per_node = cluster.map_states(read)
     work, mem, labels, explored, kept = zip(*per_node.values())
     check_budget(dict(zip(per_node, mem)), budget_bytes)
     stats = {

@@ -33,7 +33,10 @@ def plant_dist(
 
     ``eta > 0`` additionally replicates the top-η hubs' labels (§5.3) to
     prune later trees — the only communication such a run performs.
-    Windows exist purely to timestamp Ψ; with eta=0 they cause no traffic.
+    Windows exist purely to timestamp Ψ; with eta=0 they cause no traffic
+    and no superstep of their own: the run is one superstep, which also
+    returns the nodes' read (with eta > 0, two: the window holding the
+    top-η roots, whose labels are broadcast, then the rest).
     """
     return run_windows(
         spark, g, rank, q, psi_th=math.inf, eta=eta,

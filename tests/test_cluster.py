@@ -179,8 +179,8 @@ def test_spark_recomputes_lost_states_from_lineage(spark):
         build, cleaner = construct_fn(get, "dgll"), clean_fn(get)
         pos = 0
         for x in (16, 32, 64):
-            outs = cluster.superstep(build, {"pos": pos, "x": x, "q": q})
-            new = [t for o in outs.values() for t in o["new"]]
+            outs = cluster.superstep(build, {"windows": [(pos, x)], "q": q})
+            new = [t for o in outs.values() for t in o["windows"][0]["new"]]
             doomed = cluster.allreduce_or(cluster.superstep(cleaner, new))
             cluster.superstep(apply_updates, {"doomed": doomed, "common_updates": []})
             pos += x

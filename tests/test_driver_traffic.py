@@ -6,8 +6,11 @@ one scale-free graph. The byte columns, ``n_syncs`` and the switch
 positions were recorded from the separate DGLL/PLaNT/Hybrid drivers that
 the single windowed driver replaced. The superstep counts were recorded
 when a window's updates (and DparaPLL's replica merge) began to ride in
-the next superstep's payload instead of a superstep of their own. A
-change here means the drivers now run or ship something else.
+the next superstep's payload instead of a superstep of their own; PLaNT's
+then fell from 2 to 1 when windows that need no action of the driver
+began to share a superstep (with η = 8 the window of the top-η roots
+still ends its own). A change here means the drivers now run or ship
+something else.
 """
 import pytest
 
@@ -35,8 +38,8 @@ EXPECTED = {
     ("SKIT", "dgll"): (4, (21424, 4628, 1654, 4), None),
     ("CAL", "dgll_eta16"): (4, (88076, 14918, 6212, 4), None),
     ("SKIT", "dgll_eta16"): (4, (28528, 4588, 1590, 3), None),
-    ("CAL", "plant"): (2, (0, 0, 0, 0), None),
-    ("SKIT", "plant"): (2, (0, 0, 0, 0), None),
+    ("CAL", "plant"): (1, (0, 0, 0, 0), None),
+    ("SKIT", "plant"): (1, (0, 0, 0, 0), None),
     ("CAL", "plant_eta8"): (2, (9420, 3348, 0, 1), None),
     ("SKIT", "plant_eta8"): (2, (6328, 2304, 0, 1), None),
     ("CAL", "hybrid100"): (8, (13708, 5708, 0, 1), 121),

@@ -61,6 +61,7 @@ def _result(tmp, side, workload, seed, trace, build_s, explored):
     run = {
         "env": {"workload": workload, "seed": seed, "trace": trace, "nproc": 4,
                 "spark_master": "local[4]", "graph": "g", "builds": "seqpll,plant"},
+        "rounds": 2,
         "build_medians_s": {"seqpll": build_s / 2, "plant": build_s / 2},
         "metrics": {"build_s": {"value": build_s, "unit": "s"},
                     "engine.node_work_makespan_s": {"value": build_s / 10, "unit": "s"},
@@ -75,6 +76,10 @@ def test_bench_json_pairs_sides_by_seed(tmp_path):
         _result(tmp_path, "after", "w", seed, 0, a, 0)
     _result(tmp_path, "before", "w", 1, 1, 10.0, 5)
     _result(tmp_path, "after", "w", 1, 1, 8.0, 5)
+    for side, reads in (("before", 4), ("after", 2)):
+        spans = ["cluster.superstep"] * 6 + ["cluster.map_states"] * reads + ["bench.plant"]
+        (tmp_path / side / "spans-w-s1-t1.jsonl").write_text(
+            "".join(json.dumps({"name": n}) + "\n" for n in spans))
     out = tmp_path / "BENCH.json"
     bench_json.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
                      "--out", str(out)])
@@ -89,3 +94,7 @@ def test_bench_json_pairs_sides_by_seed(tmp_path):
     assert "engine.node_work_makespan_s" in traced["node_work_s"]
     assert "engine.node_work_makespan_s" not in traced["per_layer_s"]
     assert traced["counts"]["plant.explored"] == {"before": [5], "after": [5]}
+    assert traced["span_calls_per_round"] == {  # per round of 2
+        "cluster.map_states": {"before": [2.0], "after": [1.0]},
+        "cluster.superstep": {"before": [3.0], "after": [3.0]},
+    }
