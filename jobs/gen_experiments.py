@@ -222,31 +222,33 @@ T4_NOTES = """
   Python kernel (`QueryIndex.query`), one query at a time. Each sampled
   query's compute is timed on the node(s) its mode sends it to. QDOL's
   routed node holds the full label lists of both endpoints, so its compute
-  is QLSN's within run-to-run noise (CAL 10.4 vs 9.3 µs); QFDL counts the
-  slowest of its 16 shards per query. POK and LIJ, the largest-ALS rows,
-  have the largest QDOL compute (34 and 38 µs). That is where the paper's
-  QFDL overtakes QDOL (POK: 32 vs 34.5 µs); here the modelled 400 µs
-  broadcast + reduction keeps QFDL the slowest. The QLSN cells read 1–3 µs
-  above three runs of the previous kernel on the same box (SKIT 3.3 → 6.1,
-  BDU 5.1 → 8.3 µs), although `query` did not change; the cause is not
-  known.
+  is close to QLSN's (CAL 8.5 vs 6.8 µs); QFDL counts the slowest of its 16
+  shards per query. POK and LIJ, the largest-ALS rows, have the largest
+  QDOL compute (23 and 30 µs). That is where the paper's QFDL overtakes
+  QDOL (POK: 32 vs 34.5 µs); here the modelled 400 µs broadcast +
+  reduction keeps QFDL the slowest. The latency cells read the same as
+  three runs of the previous batch kernel on the same box (SKIT 3.1 vs
+  3.1, BDU 4.9 vs 5.1 µs): the batch kernel does not time them.
 - *Throughput*: every node answers its batch with one vectorised kernel
-  (`QueryIndex.query_batch`), which removed the per-pair Python cost. Against
-  three runs of the previous per-pair kernel on the same box, the medians
-  rose 1.3–2.3× for QFDL (e.g. SKIT 121 → 245, POK 73 → 154 kq/s),
-  1.5–2.2× for QLSN (SKIT 278 → 416; not CAL, see below) and up to 1.5× for
-  QDOL on the small-label rows (SKIT 257 → 344); QDOL on USA and LIJ did not
-  move beyond noise (108 → 105, 93 → 88). QDOL beats QFDL on the eight smaller-label rows, as
-  in the paper, but no longer on CTR, USA, POK and LIJ. With the per-pair
-  cost gone, QFDL's 16 scans of the whole batch over 1/16th of the labels
-  touch as many hub entries as QDOL's 15 routed scans over full label
-  lists, and QDOL ships ζ−1 = 5 copies of the labels to QFDL's one (LIJ:
-  11.7 vs 2.6 MB pickled per batch). Where QLSN fits the node budget it is
-  the fastest mode on most rows here, unlike the paper: one Spark task
-  answers the whole batch, while QDOL pays the dispatch of its 15
-  pair-nodes (4 Spark tasks on 4 cores) and the footnote-9 routing. QDOL
-  overtakes it on ACT and BDU. CAL is the exception only because it runs
-  first: its QLSN batch carries the session's Spark warm-up. On the
+  (`QueryIndex.query_batch`). It groups the pairs by source, scatters a
+  block of sources' labels into dense rows over the node's own hubs and
+  probes them with the targets' labels (DESIGN.md §1). Against three runs
+  of the previous kernel (a sorted join on hub) on the same box, no cell
+  fell. The medians rose 1.4–2.1× for QLSN (EAS 222 → 475, ACT 445 →
+  934 kq/s; not CAL, see below), 1.05–1.56× for QFDL (ACT 330 → 487, LIJ
+  159 → 248) and 1.02–1.98× for QDOL (POK 190 → 346, LIJ 120 → 237). The
+  largest-label rows gain most, since their kernel was the largest part of
+  a batch. QDOL beats QFDL on ten rows, as in the paper; QFDL still
+  out-serves it on USA (186 vs 154 kq/s), and on LIJ the two overlap
+  across the three runs (QFDL 222–253, QDOL 225–238). QFDL's 16 scans of
+  the whole batch over 1/16th of the labels touch as many hub entries as
+  QDOL's 15 routed scans over full label lists, and QDOL ships ζ−1 = 5
+  copies of the labels to QFDL's one (LIJ: 11.7 vs 2.6 MB pickled per
+  batch). Where QLSN fits the node budget it is the fastest mode on every
+  row but CAL, unlike the paper: one Spark task answers the whole batch,
+  while QDOL pays the dispatch of its 15 pair-nodes (4 Spark tasks on 4
+  cores) and the footnote-9 routing. CAL is the exception only because it
+  runs first: its QLSN batch carries the session's Spark warm-up. On the
   largest-ALS rows (USA, POK, LIJ) QLSN does not fit, and QFDL and QDOL are
   the feasible modes, as in the paper."""
 

@@ -32,8 +32,8 @@ class LabelStore:
     ``hubs[v]`` / ``dists[v]`` are parallel Python lists in append order.
     No reader depends on that order: distance queries and cleaning probe
     a dense per-root or per-hub distance array, point PPSD queries a
-    hub→dist dict, and a PPSD batch sorts a flat copy of the lists per
-    call (``QueryIndex.query_batch``).
+    hub→dist dict, and a PPSD batch scatters a flat copy of the lists,
+    made per call, into dense per-source rows (``QueryIndex.query_batch``).
     """
 
     n: int

@@ -5,10 +5,12 @@ Two paths:
 * ``QueryIndex`` — the labeling itself (a ``LabelStore``) served for
   queries. ``query_batch`` is the kernel the §6 query modes
   (QLSN/QFDL/QDOL) run on each simulated node: per call it flattens the
-  lists into a CSR with hubs sorted within each vertex (the PLL layout,
-  Akiba et al. 2013) and joins a chunk of pairs at a time on hub with
-  numpy. ``query`` answers one pair from the lists themselves (a
-  hub→dist dict of u's labels probed with v's) for point queries.
+  lists (unsorted), groups the pairs by u and, for a block of distinct u
+  at a time, scatters their labels into dense rows over the index's own
+  hubs (Akiba et al.'s temporary distance array, one row per u) that the
+  v ends' labels probe with numpy. ``query`` answers one pair from the
+  lists themselves (a hub→dist dict of u's labels probed with v's) for
+  point queries.
 * ``spark_query_df`` — the DataFrame/Spark SQL expression of the same
   computation (labels self-join on hub), used so every query-result test
   can be diffed against DuckDB via ``repro.oracle.assert_equivalent``.
@@ -24,9 +26,9 @@ from pyspark.sql import functions as F
 
 from repro.core.labels import INF, LabelStore
 
-#: Pairs joined per step of ``query_batch``; bounds its key arrays to a
-#: few MB even on dense labels.
-BATCH_CHUNK = 2048
+#: Cells of ``query_batch``'s row buffer (int64, so 512 KB for any n): a
+#: block holds ROW_CELLS // w distinct u ends of an index with w hubs.
+ROW_CELLS = 1 << 16
 
 
 class QueryIndex(LabelStore):
@@ -64,37 +66,56 @@ class QueryIndex(LabelStore):
         out = np.full(len(pairs), INF, dtype=np.int64)
         n = self.n
         lens = np.fromiter(map(len, self.hubs), dtype=np.int64, count=n)
+        # Only pairs whose two ends both hold labels here can meet; this
+        # also gives every kept pair a non-empty reduceat segment.
+        live = np.flatnonzero((lens[pairs[:, 0]] > 0) & (lens[pairs[:, 1]] > 0))
+        if not len(live):
+            return out
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
         total = int(indptr[-1])
         hubs = np.fromiter(chain.from_iterable(self.hubs), dtype=np.int64, count=total)
         dists = np.fromiter(chain.from_iterable(self.dists), dtype=np.int64, count=total)
-        order = np.argsort(np.repeat(np.arange(n, dtype=np.int64) * n, lens) + hubs)
-        hubs, dists = hubs[order], dists[order]
+        # The index's own hubs are the columns 0..w-1 of a row.
+        held = np.zeros(n, dtype=bool)
+        held[hubs] = True
+        w = int(np.count_nonzero(held))
+        cols = (np.cumsum(held) - 1)[hubs]
 
-        def side(ends):
-            """Positions of the ends' labels, and their keys qid·n + hub,
-            ascending because each vertex's hubs are sorted."""
-            cnt = lens[ends]
-            stop = np.cumsum(cnt)
-            pos = np.arange(stop[-1]) + np.repeat(indptr[ends] - stop + cnt, cnt)
-            return pos, np.repeat(np.arange(len(ends), dtype=np.int64) * n, cnt) + hubs[pos]
+        # Pairs grouped by u (numpy radix-sorts uint16), each pair's v
+        # labels at pos voff[i]..voff[i+1] + shift[i] of the flat arrays.
+        key = pairs[live, 0]
+        order = live[np.argsort(key.astype(np.uint16) if n <= 1 << 16 else key, kind="stable")]
+        us, vs = pairs[order, 0], pairs[order, 1]
+        starts = np.r_[np.flatnonzero(np.r_[True, us[1:] != us[:-1]]), len(us)]
+        cnt = lens[vs]
+        voff = np.r_[0, np.cumsum(cnt)]
+        shift = indptr[vs] - voff[:-1]
+        # Distinct u b owns row b % k of the k x w buffer; ucell/udist
+        # are its labels scattered into that row.
+        k = max(1, ROW_CELLS // w)
+        uniq = us[starts[:-1]]
+        row = np.arange(len(uniq)) % k * w
+        ucnt = lens[uniq]
+        uoff = np.r_[0, np.cumsum(ucnt)]
+        upos = np.arange(uoff[-1]) + np.repeat(indptr[uniq] - uoff[:-1], ucnt)
+        ucell = np.repeat(row, ucnt) + cols[upos]
+        udist = dists[upos]
+        prow = np.repeat(row, np.diff(starts))
 
-        for lo in range(0, len(pairs), BATCH_CHUNK):
-            chunk = pairs[lo:lo + BATCH_CHUNK]
-            pu, ku = side(chunk[:, 0])
-            pv, kv = side(chunk[:, 1])
-            if not len(ku):
-                continue
-            at = np.minimum(np.searchsorted(ku, kv), len(ku) - 1)
-            hit = ku[at] == kv
-            if not hit.any():
-                continue
-            qid = kv[hit] // n
-            sums = dists[pu[at[hit]]] + dists[pv[hit]]
-            first = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]])
-            out[lo + qid[first]] = np.minimum.reduceat(sums, first)
-        return out
+        D = np.full(k * w, INF, dtype=np.int64)
+        for b in range(0, len(uniq), k):
+            e = min(b + k, len(uniq))
+            lo, hi = starts[b], starts[e]
+            cells = ucell[uoff[b]:uoff[e]]
+            D[cells] = udist[uoff[b]:uoff[e]]
+            c = cnt[lo:hi]
+            pos = np.arange(voff[lo], voff[hi]) + np.repeat(shift[lo:hi], c)
+            sums = D[np.repeat(prow[lo:hi], c) + cols[pos]] + dists[pos]
+            out[order[lo:hi]] = np.minimum.reduceat(sums, voff[lo:hi] - voff[lo])
+            D[cells] = INF
+        # A pair with no common hub summed INF + d.
+        return np.minimum(out, INF, out=out)
 
 
 def labels_spark_df(spark: SparkSession, store: LabelStore) -> DataFrame:
