@@ -255,40 +255,43 @@ T4_NOTES = """
 F8_NOTES = """
 **Shape checks (paper → ours):**
 - *PLaNT scales near-linearly with zero label traffic* (paper: avg 42× on 64
-  nodes): our per-node work makespan drops 4.7× (CAL 0.52→0.11 s), 12.9×
-  (SKIT 0.90→0.07 s), 10.7× (ACT 2.24→0.21 s) and 7.6× (POK 5.20→0.68 s)
+  nodes): our per-node work makespan drops 7.8× (CAL 0.62→0.08 s), 10.8×
+  (SKIT 0.43→0.04 s), 10.4× (ACT 1.97→0.19 s) and 11.6× (POK 5.11→0.44 s)
   from q=1 to q=16, with 0 communicated bytes at every q. Each cell is one
   run, and the makespans below ~0.2 s move by tens of percent between runs.
 - *DGLL/DparaPLL do not scale*: their delivered broadcast volume grows ~q²
-  (CAL DGLL 1.4→13.9→108 MB) and wall time *rises* from q=4 to q=16 on every
-  dataset (CAL DGLL 2.58→6.90 s) — the paper's flat/worsening curves.
+  (CAL DGLL 1.4→11.7→78.5 MB) and wall time *rises* from q=4 to q=16 on every
+  dataset (CAL DGLL 1.23→3.36 s) — the paper's flat/worsening curves.
 - *DparaPLL label explosion (Fig. 9)*: ALS grows with q (CAL 36.6→101.8→235.4;
   SKIT 14.2→165.8→325.9) while Hybrid/DGLL/PLaNT output the CHL ALS at every q;
   under the scaled node budget DparaPLL OOMs on the dense weak-hierarchy POK at
   q=16 — the paper's missing curves.
 - *Topology split*: on scale-free graphs Hybrid's makespan beats pure PLaNT
-  (ACT q=1: 0.92 vs 2.24 s, where the paper reports an order of magnitude;
-  q=16: 0.10 vs 0.21 s) because the low-yield tail is DGLL-pruned; on road networks
+  (ACT q=1: 0.73 vs 1.97 s, where the paper reports an order of magnitude;
+  q=16: 0.07 vs 0.19 s) because the low-yield tail is DGLL-pruned; on road networks
   PLaNT alone is already efficient and Hybrid ≈ PLaNT + sync cost.
 - *Small-dataset caveat, as in the paper (§7.3)*: at our scale "even few
   synchronizations … dominate the small pre-processing time" — Hybrid/DGLL wall
   time is mostly fixed per-superstep Spark cost, so the compute story is the
   makespan column. An empty superstep costs about 0.15 s at q=4 and 0.34 s
-  at q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 still spends 6.9 s of
-  wall time on 0.17 s of makespan. A PLaNT run needs no synchronisation
+  at q=16 (16 tasks on 4 cores), so CAL's DGLL at q=16 still spends 3.4 s of
+  wall time on 0.09 s of makespan. A PLaNT run needs no synchronisation
   until its output is read (§5.2), so its windows share one superstep,
   which also returns the read (DESIGN.md §3): it is one Spark job at every
-  q. Against a run of the previous driver (one superstep per window, then
-  a read job) on the same box its wall time fell at every q (CAL q=16
-  1.86→0.56 s, SKIT 1.82→0.44 s, ACT 2.43→0.85 s, POK 4.19→2.40 s), with
-  every comm-MB and ALS cell equal. Part of that is this run's Spark
-  session, which also moved the Python workers to Unix-domain sockets
-  (DESIGN.md §3) and lowers the cells whose job count did not change too
-  (CAL DGLL q=16 7.71→6.90 s); an empty q=16 superstep went from 0.44 to
-  0.34 s with it.
+  q. A DGLL window is one superstep too: the next superstep cleans it
+  before it builds, and the last window is cleaned by one superstep that
+  builds nothing (DESIGN.md §3), where the paper cleans at every superstep
+  boundary. Against a run of the previous schedule (a cleaning superstep
+  after every DGLL window) on the same box, DGLL's comm MB fell at every
+  q > 1 (q=16: CAL 107.8→78.5, SKIT 18.0→13.1, ACT 53.5→27.6, POK
+  131.5→125.0), because a label doomed one window later still prunes the
+  next window's trees; its q=16 wall time fell too (CAL 4.32→3.36 s, SKIT
+  1.48→1.21 s, ACT 3.43→1.64 s, POK 5.94→5.48 s; one run per side). Every
+  ALS cell and every Hybrid comm-MB cell is equal: Hybrid's DGLL tail on
+  ACT and POK ships the same bytes.
   PLaNT (no traffic, one superstep) has the lowest wall time on every
-  dataset at q=4 and q=16 and on CAL at q=1, the communication-avoidance
-  thesis; at q=1 there is no traffic to avoid. DparaPLL, whose replica
+  dataset at q=4 and q=16 except ACT at q=4, and on CAL at q=1; at q=1
+  there is no traffic to avoid. DparaPLL, whose replica
   merge rides in its next build superstep (one Spark job per sync), is
   faster than PLaNT at q=1 on SKIT, ACT and POK, slower at q=16 wherever
   it fits in memory, and pays for its speed with the label explosion above.

@@ -13,7 +13,8 @@ come back with the task results, so no label shard travels to the driver.
 The driver plays the MPI runtime: payloads move as Spark broadcasts
 (MPI_Bcast), per-node outputs return through the accumulator
 (MPI_Gather), and redundancy bitvectors are OR-combined on the driver
-(MPI_Allreduce).
+(MPI_Allreduce); a DGLL node returns its bitvector with the outputs of
+the construct superstep that cleaned the previous window.
 Every such event is metered in ``CommCounter`` — the paper's scalability
 story is precisely about this traffic (§5.2: PLaNT's zero label traffic).
 As in BSP, a message costs no job of its own: what ``broadcast`` meters
@@ -21,7 +22,8 @@ rides in the next superstep's payload (or in the final ``map_states``),
 and a superstep is a sync point, not a unit of work: a driver may give
 the nodes several rounds of work in one payload when it need not act
 between them (``repro.dist.dgll.run_windows`` does so with PLaNT's
-windows, and its last superstep can return the run's read).
+windows and with DGLL's cleaning, and its last superstep can return the
+run's read).
 
 Every task function here starts with ``freeze_worker_archives``
 (``repro.core.parallel``), which stops PySpark's worker from re-reading
@@ -156,8 +158,8 @@ class SimCluster:
     def allreduce_or(self, bitvectors: dict) -> set:
         """OR-combine per-node redundancy sets (MPI_Allreduce on bitvectors).
 
-        Metered at the paper's cost: one bitvector (len = #labels checked)
-        contributed per node.
+        Metered as the pickled list of redundant ``(v, hub)`` pairs that
+        each node found, summed over the nodes.
         """
         self.comm.allreduce_bytes += sum(
             payload_bytes(b) for b in bitvectors.values()

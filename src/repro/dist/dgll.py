@@ -4,11 +4,13 @@ Roots are assigned circularly by rank; each node builds its trees with
 rank queries + distance queries against *its own label shard* (labels
 are partitioned — optimisation 1), so early supersteps generate heavy
 redundancy. Supersteps grow by a factor β (optimisation 2); at each
-boundary the superstep's labels are broadcast, every node answers the
-cleaning queries it can (bitvector), the bitvectors are all-reduced, and
-owners drop the redundant labels as the next superstep starts. The final
-labeling is the CHL; the cost is the metered label broadcast traffic
-that limits DGLL's scaling.
+boundary the superstep's labels are broadcast, and the next superstep
+cleans them before it builds: every node answers the cleaning queries it
+can (bitvector) against its shard, the bitvectors come back with the
+superstep's outputs and are all-reduced, and owners drop the redundant
+labels as the superstep after that starts. The last window is cleaned
+by one superstep that builds nothing. The final labeling is the CHL; the
+cost is the metered label broadcast traffic that limits DGLL's scaling.
 
 ``run_windows`` here is the one windowed driver behind DGLL, distributed
 PLaNT and Hybrid: the three differ only in the Ψ threshold at which the
@@ -27,7 +29,6 @@ from repro.core.labels import LabelStore
 from repro.dist.engine import (
     apply_updates,
     check_budget,
-    clean_fn,
     collect_store,
     construct_fn,
     node_cluster,
@@ -75,14 +76,17 @@ def run_windows(
     Table (§5.3); a node over ``budget_bytes`` raises OOMError.
 
     A superstep ends only where the driver has to act on a window: after
-    a DGLL window (cleaning), a window holding top-η roots (its table
-    rows are broadcast) or a PLaNT window when Ψ_th is finite (the switch
-    check). Consecutive windows up to such a point run as one superstep,
-    which reports every window on its own, so Ψ, the budget checks and
-    the metered bytes are those of one superstep per window. When the
-    last superstep leaves nothing to apply (it ends in a PLaNT window
-    with no top-η root), the run's read rides on it. The deadline is
-    checked between supersteps, so a run can overrun it by one superstep;
+    a DGLL window (its labels are broadcast), a window holding top-η
+    roots (its table rows are broadcast) or a PLaNT window when Ψ_th is
+    finite (the switch check). Consecutive windows up to such a point run
+    as one superstep, which reports every window on its own, so Ψ, the
+    budget checks and the metered bytes are those of one superstep per
+    window. A superstep first cleans the last DGLL window, whose doomed
+    set the next one applies; a window left uncleaned at the end (or at a
+    deadline stop) gets a superstep that builds nothing. When the last
+    superstep leaves nothing to apply (it ends in a PLaNT window with no
+    top-η root), the run's read rides on it. The deadline is checked
+    between supersteps, so a run can overrun it by one superstep;
     ``stats["supersteps"]`` counts the windows run.
     """
     t0 = time.perf_counter()
@@ -94,31 +98,33 @@ def run_windows(
     keep = (lambda i, st: st.store.triplets()) if collect else (lambda i, st: None)
     with node_cluster(spark, g, rank, q, top_hubs) as (cluster, get):
         build = {e: construct_fn(get, e, top, keep) for e in ("plant", "dgll")}
-        cleaner = clean_fn(get)
         plant = psi_th >= 0.0  # Ψ before position 0 counts as 0
         switch_pos = None if plant else 0
         psi_per_window = []
         pos, x, windows, timed_out = 0, x1, 0, False
         updates = None  # the last superstep's, applied by the next one
+        clean = None  # the last DGLL window's labels, cleaned by the next one
         reads = None  # the nodes' read, when it rode on the last superstep
-        while pos < n:
-            if out_of_time(t0, deadline_s):
-                timed_out = True
-                break
+        while True:
+            timed_out = pos < n and out_of_time(t0, deadline_s)
             plan, end = [], pos  # this superstep's windows
-            while end < n:
+            while end < n and not timed_out:
                 w = min(int(x), n - end, cap if plant else n)
                 plan.append((end, w))
                 end, x = end + w, x * BETA
                 if not plant or end - w < eta or math.isfinite(psi_th):
                     break  # the driver acts on this window
+            if not plan and not clean:
+                break
             read = plant and end == n and plan[-1][0] >= eta
             outs = cluster.superstep(
                 build["plant" if plant else "dgll"],
-                {"windows": plan, "q": q, "updates": updates, "read": read},
+                {"windows": plan, "q": q, "updates": updates, "clean": clean, "read": read},
             )
             if read:
                 reads = {i: o.pop("read") for i, o in outs.items()}
+            # DGLL cleaning of the last window: the bitvector all-reduce
+            doomed = cluster.allreduce_or({i: o["redundant"] for i, o in outs.items()}) if clean else set()
             new = []
             for k, (p, w) in enumerate(plan):
                 per_node = {i: o["windows"][k] for i, o in outs.items()}
@@ -130,14 +136,12 @@ def run_windows(
                     explored = sum(o["explored_window"] for o in per_node.values())
                     n_new = sum(o["n_labels"] for o in per_node.values())
                     psi_per_window.append((p, w, explored / max(1, n_new)))
-            doomed: set = set()
-            if not plant and new:  # DGLL cleaning: label broadcast + bitvector all-reduce
-                doomed = cluster.allreduce_or(cluster.superstep(cleaner, cluster.broadcast(new)))
-            # Common-table updates: surviving labels of the top-η hubs are
-            # replicated everywhere (paper §5.3) — metered via the payload.
+            clean = cluster.broadcast(new) if new and not plant else None  # label broadcast
+            # The top-η hubs' labels are replicated everywhere (§5.3) at once and
+            # unfiltered (a redundant row is a path length, DESIGN §4), metered.
             by_hub: dict[int, list] = {}
             for v, h, d in new:
-                if h in top and (v, h) not in doomed:
+                if h in top:
                     by_hub.setdefault(h, []).append((v, d))
             common_updates = sorted(by_hub.items())
             updates = None

@@ -12,7 +12,8 @@ the serial fallback) and are deliberately free of driver state: all
 inputs arrive via the ctx broadcast (graph, rank, root order) or the
 superstep payload, which also carries the previous superstep's updates for
 the nodes to ``settle`` first (the last ones ride on ``read_nodes``, or,
-when there are none, the read rides on the last superstep).
+when there are none, the read rides on the last superstep) and the last
+DGLL window's labels, which the nodes clean before they build.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.dijkstra import as_list, prune_dij_rq
-from repro.core.labels import CommonLabelTable, LabelStore
+from repro.core.labels import INF, CommonLabelTable, LabelStore
 from repro.core.parallel import eval_clean_chunk
 from repro.core.plant import plant_dijkstra
 from repro.dist.cluster import SimCluster
@@ -70,29 +71,32 @@ def my_roots(order: np.ndarray, pos: int, x: int, q: int, node_id: int):
 # Superstep functions (run on nodes).
 # --------------------------------------------------------------------- #
 def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None):
-    """Build this node's trees for the superstep's rank windows.
+    """Clean the last DGLL window, then build the superstep's windows.
 
     engine='dgll': pruned Dijkstra with rank queries against the node's
     own shard (+ common table). engine='plant': PLaNTed trees (+ common
-    table pruning). The previous superstep's updates, ``payload["updates"]``,
-    are applied first; then the windows ``payload["windows"]``, a list of
-    ``(pos, x)``, are built in order. New labels go into the node's shard
-    immediately (visible to its own later trees, like GLL's local table)
-    and are also reported back for the cleaning round. The output holds
-    one dict per window under ``"windows"``, each what a superstep of that
-    window alone would return, and, when ``payload["read"]`` is set, the
-    node's ``read_state`` (with ``keep``) after the last window.
+    table pruning). The node applies the previous superstep's updates,
+    ``payload["updates"]``, answers DQ_Clean for ``payload["clean"]``
+    against its shard, then builds the windows ``payload["windows"]`` (a
+    list of ``(pos, x)``, maybe empty) in order. New labels go into the
+    shard immediately (visible to its own later trees, like GLL's local
+    table) and are also reported back for cleaning. The output holds the
+    redundant ``(v, hub)`` pairs found (``"redundant"``), one dict per
+    window under ``"windows"``, each what a superstep of that window
+    alone would return, and, when ``payload["read"]`` is set, the node's
+    ``read_state`` (with ``keep``) after the last window.
     """
 
     def fn(node_id, st: NodeState, payload):
         g, rank, order = get()
         mem = settle(apply_updates, node_id, st, payload.get("updates"))
+        redundant = eval_clean_chunk(payload.get("clean") or (), st.store, rank)
         windows = []
         for pos, x in payload["windows"]:
             if windows:  # nothing is applied between the windows of a superstep
                 mem = st.mem_bytes()
             windows.append(build_window(g, rank, st, my_roots(order, pos, x, payload["q"], node_id), mem))
-        out = {"windows": windows}
+        out = {"windows": windows, "redundant": redundant}
         if payload.get("read"):
             out["read"] = read_state(st, st.mem_bytes(), keep(node_id, st))
         return st, out
@@ -112,7 +116,7 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None)
             new.extend((v, root, d) for v, d in labels)
         st.explored += explored_window
         st.work_s += time.perf_counter() - t0
-        # DGLL: the cleaning round needs every new label centrally.
+        # DGLL: the next superstep's cleaning needs every new label centrally.
         # PLaNT: only Common-Label-Table hubs leave the node (§5.3), so
         # with no table labels never leave the generating node.
         if engine == "dgll":
@@ -133,29 +137,18 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None)
     return fn
 
 
-def clean_fn(get):
-    """Answer DQ_Clean for every broadcast candidate using this node's shard.
-
-    Returns the candidate indices this node can prove redundant; the
-    driver ORs the per-node sets (the paper's bitvector all-reduce).
-    """
-
-    def fn(node_id, st: NodeState, payload):
-        g, rank, order = get()
-        return st, eval_clean_chunk(payload, st.store, rank)
-
-    return fn
-
-
 def apply_updates(node_id, st: NodeState, payload):
-    """Drop redundant labels from the owner shard; install common updates.
-    Returns the node's memory after the update, for the budget check."""
+    """Drop redundant labels from the owner shard and the common table;
+    install common updates. Returns the node's memory, for the budget check."""
     doomed = payload["doomed"]  # global (v, hub) set; shards only hold
     if doomed:  # their own hubs, so foreign pairs are no-ops
         st.store.delete(doomed)
     if st.common is not None:
         for hub, labels in payload["common_updates"]:
             st.common.add_hub_labels(hub, labels)
+        for v, h in doomed:  # a table row goes with its doomed label
+            if h in st.common.row_of:
+                st.common.dist[st.common.row_of[h], v] = INF
     return st, st.mem_bytes()
 
 

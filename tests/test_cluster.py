@@ -15,7 +15,7 @@ from repro.core.labels import payload_bytes
 from repro.core.parallel import _FrozenZipImporter, freeze_archives, spark_map
 from repro.dist import cluster as cluster_mod
 from repro.dist.cluster import SimCluster
-from repro.dist.engine import apply_updates, clean_fn, construct_fn, node_cluster
+from repro.dist.engine import apply_updates, construct_fn, node_cluster
 from tests.helpers import graph, rank_of
 
 
@@ -167,27 +167,31 @@ def test_spark_outputs_complete_and_equal_to_serial(spark):
         c.free()
 
 
-def _shard(node_id, st):
-    return st.store.triplets()
-
-
 def test_spark_recomputes_lost_states_from_lineage(spark):
     """Superstep functions mutate node state in place; a node RDD dropped
-    from the cache must still be rebuilt, from lineage, into the same shards."""
+    from the cache must still be rebuilt, from lineage, into the same shards.
+    Each DGLL superstep cleans the previous window's labels and the last
+    one builds nothing; the read applies its doomed set."""
     g, rank, q = graph("CAL"), rank_of("CAL"), 4
     with node_cluster(spark, g, rank, q) as (cluster, get):
-        build, cleaner = construct_fn(get, "dgll"), clean_fn(get)
-        pos = 0
-        for x in (16, 32, 64):
-            outs = cluster.superstep(build, {"windows": [(pos, x)], "q": q})
-            new = [t for o in outs.values() for t in o["windows"][0]["new"]]
-            doomed = cluster.allreduce_or(cluster.superstep(cleaner, new))
-            cluster.superstep(apply_updates, {"doomed": doomed, "common_updates": []})
+        build = construct_fn(get, "dgll")
+        pos, updates, clean, doomed_total = 0, None, None, 0
+        for x in (16, 32, 64, 0):
+            plan = [(pos, x)] if x else []
+            outs = cluster.superstep(build, {"windows": plan, "q": q, "updates": updates, "clean": clean})
+            doomed = cluster.allreduce_or({i: o["redundant"] for i, o in outs.items()})
+            updates, doomed_total = {"doomed": doomed, "common_updates": []}, doomed_total + len(doomed)
+            clean = [t for o in outs.values() for w in o["windows"] for t in w["new"]]
             pos += x
-        before = cluster.map_states(_shard)
+
+        def shard(i, st):
+            return apply_updates(i, st, updates)[0].store.triplets()
+
+        before = cluster.map_states(shard)
         cluster._rdd.unpersist()
         assert not cluster._rdd.is_cached
-        assert cluster.map_states(_shard) == before
+        assert cluster.map_states(shard) == before
+    assert doomed_total > 0 and clean == []
     assert sum(len(t) for t in before.values()) > 0
 
 

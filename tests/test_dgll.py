@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.core.labels import INF
 from repro.core.reference import brute_chl
 import repro.dist.dgll as dgll_mod
+import repro.dist.engine as engine
 from repro.dist.dgll import dgll
 from repro.dist.engine import OOMError, my_roots
 from repro.dist.hybrid import hybrid
@@ -28,9 +30,27 @@ def test_dgll_equals_chl(name, q):
 
 @pytest.mark.parametrize("name", ["CAL", "SKIT"])
 @pytest.mark.parametrize("eta", [4, 16])
-def test_dgll_with_common_table_equals_chl(name, eta):
-    r = dgll(None, graph(name), rank_of(name), q=4, eta=eta)
+def test_dgll_with_common_table_equals_chl(name, eta, monkeypatch):
+    """A DGLL window's top-η rows reach the Common Label Table before the
+    window is cleaned; a doomed row leaves every node's table with its
+    label, so the tables end holding exactly the top-η hubs' CHL rows."""
+    tables = []
+    read_state = engine.read_state
+
+    def spy(st, mem, kept):
+        tables.append(st.common.dist.copy())
+        return read_state(st, mem, kept)
+
+    monkeypatch.setattr(engine, "read_state", spy)
+    g, rank = graph(name), rank_of(name)
+    r = dgll(None, g, rank, q=4, eta=eta)
     assert r.store.canonical_set() == chl_set(name)
+    row = {int(h): i for i, h in enumerate(roots_by_rank(rank)[:eta])}
+    chl = np.full((eta, g.n), INF, dtype=np.int64)
+    for v, h, d in r.store.triplets():
+        if h in row:
+            chl[row[h], v] = d
+    assert len(tables) == 4 and all((t == chl).all() for t in tables)
 
 
 @pytest.mark.parametrize("seed", range(4))

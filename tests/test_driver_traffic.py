@@ -9,8 +9,12 @@ when a window's updates (and DparaPLL's replica merge) began to ride in
 the next superstep's payload instead of a superstep of their own; PLaNT's
 then fell from 2 to 1 when windows that need no action of the driver
 began to share a superstep (with η = 8 the window of the top-η roots
-still ends its own). A change here means the drivers now run or ship
-something else.
+still ends its own). The dgll, dgll_eta16, hybrid2 and hybrid_eta0 rows
+were re-recorded when DGLL's cleaning moved into the next construct
+superstep: its windows lost their cleaning supersteps (the last window is
+cleaned by one superstep that builds nothing), and a doomed set applied
+a window later and unfiltered Common Label Table rows change its bytes.
+A change here means the drivers now run or ship something else.
 """
 import pytest
 
@@ -34,20 +38,20 @@ RUNS = {
 
 #: (graph, run) -> (supersteps, (broadcast, gather, allreduce bytes, n_syncs), switch_pos)
 EXPECTED = {
-    ("CAL", "dgll"): (4, (116000, 20882, 14954, 4), None),
-    ("SKIT", "dgll"): (4, (21424, 4628, 1654, 4), None),
-    ("CAL", "dgll_eta16"): (4, (88076, 14918, 6212, 4), None),
-    ("SKIT", "dgll_eta16"): (4, (28528, 4588, 1590, 3), None),
+    ("CAL", "dgll"): (3, (95224, 17912, 10004, 4), None),
+    ("SKIT", "dgll"): (3, (21368, 4620, 1642, 4), None),
+    ("CAL", "dgll_eta16"): (3, (101272, 14918, 6212, 5), None),
+    ("SKIT", "dgll_eta16"): (3, (32384, 4588, 1590, 4), None),
     ("CAL", "plant"): (1, (0, 0, 0, 0), None),
     ("SKIT", "plant"): (1, (0, 0, 0, 0), None),
     ("CAL", "plant_eta8"): (2, (9420, 3348, 0, 1), None),
     ("SKIT", "plant_eta8"): (2, (6328, 2304, 0, 1), None),
     ("CAL", "hybrid100"): (8, (13708, 5708, 0, 1), 121),
     ("SKIT", "hybrid100"): (5, (7760, 3199, 0, 1), 72),
-    ("CAL", "hybrid2"): (5, (40556, 10762, 1046, 5), 16),
-    ("SKIT", "hybrid2"): (5, (10544, 3540, 40, 3), 16),
-    ("CAL", "hybrid_eta0"): (5, (20788, 8236, 2338, 4), 16),
-    ("SKIT", "hybrid_eta0"): (5, (1544, 920, 52, 3), 16),
+    ("CAL", "hybrid2"): (4, (40556, 10762, 1046, 5), 16),
+    ("SKIT", "hybrid2"): (4, (10544, 3540, 40, 3), 16),
+    ("CAL", "hybrid_eta0"): (4, (19752, 7940, 2116, 4), 16),
+    ("SKIT", "hybrid_eta0"): (4, (1544, 920, 52, 3), 16),
     ("CAL", "dpara"): (2, (101792, 25448, 0, 2), None),
     ("SKIT", "dpara"): (2, (50080, 12520, 0, 2), None),
 }

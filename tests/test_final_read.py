@@ -5,7 +5,9 @@ run's stats and, with ``collect=True``, the shards (or DparaPLL's node-0
 replica) come back together. The read is a Spark job of its own when the
 last superstep leaves updates to apply (DGLL's last cleaning, DparaPLL's
 last merge, a deadline exit); otherwise it rides on that superstep, as in
-a PLaNT run. ``collect`` changes only whether a store is assembled.
+a PLaNT run. ``collect`` changes only whether a store is assembled. The
+dgll row was re-recorded when each DGLL window began to be cleaned in the
+next construct superstep, not in a cleaning superstep of its own.
 """
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ def test_empty_graph(run):
 
 #: SKIT run -> (supersteps, Spark jobs). PLaNT's windows and read share
 #: one job; the others end in updates to apply, so their read is a job.
-JOBS = {"dgll": (4, 5), "dpara": (2, 3), "hybrid": (6, 7), "plant": (1, 1)}
+JOBS = {"dgll": (3, 4), "dpara": (2, 3), "hybrid": (6, 7), "plant": (1, 1)}
 
 
 @pytest.mark.parametrize("collect", [True, False])
