@@ -91,6 +91,8 @@ class SimCluster:
     """
 
     def __init__(self, spark: SparkSession | None, q: int, init_fn):
+        if q < 1:
+            raise ValueError(f"a cluster needs at least one node, got q={q}")
         self.spark = spark
         self.q = q
         self.comm = CommCounter()

@@ -27,7 +27,6 @@ from pyspark.sql import SparkSession
 
 from repro.core.labels import LabelStore
 from repro.dist.engine import (
-    apply_updates,
     check_budget,
     collect_store,
     construct_fn,
@@ -150,7 +149,7 @@ def run_windows(
             pos, windows = end, windows + len(plan)
             if plant and psi_per_window[-1][2] > psi_th:
                 plant, x, switch_pos = False, x1, pos
-        stats, shards = read_nodes(cluster, keep, apply_updates, updates, budget_bytes, reads)
+        stats, shards = read_nodes(cluster, keep, updates, budget_bytes, reads)
         stats.update(
             psi_per_window=psi_per_window,
             timed_out=timed_out,

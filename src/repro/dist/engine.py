@@ -6,6 +6,8 @@ node i owns exactly the labels whose hub it constructed, with roots
 assigned circularly by rank (owner of the j-th ranked root is j mod q).
 A node's pruning view is therefore its own shard (+ the replicated
 Common Label Table), which is what makes DGLL chatty and PLaNT silent.
+DparaPLL (§3) runs the same node function on a full label replica: its
+``updates`` merge every other node's labels into each node's store.
 
 The superstep functions below run inside SimCluster (RDD partitions or
 the serial fallback) and are deliberately free of driver state: all
@@ -75,7 +77,9 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None)
 
     engine='dgll': pruned Dijkstra with rank queries against the node's
     own shard (+ common table). engine='plant': PLaNTed trees (+ common
-    table pruning). The node applies the previous superstep's updates,
+    table pruning). engine='parapll': pruned Dijkstra with distance
+    queries only, against the node's store (DparaPLL's full replica).
+    The node settles the previous superstep's updates,
     ``payload["updates"]``, answers DQ_Clean for ``payload["clean"]``
     against its shard, then builds the windows ``payload["windows"]`` (a
     list of ``(pos, x)``, maybe empty) in order. New labels go into the
@@ -89,7 +93,7 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None)
 
     def fn(node_id, st: NodeState, payload):
         g, rank, order = get()
-        mem = settle(apply_updates, node_id, st, payload.get("updates"))
+        mem = settle(node_id, st, payload.get("updates"))
         redundant = eval_clean_chunk(payload.get("clean") or (), st.store, rank)
         windows = []
         for pos, x in payload["windows"]:
@@ -110,16 +114,18 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None)
                 labels, explored = plant_dijkstra(g, rank, root, common=st.common)
                 explored_window += explored
             else:
-                labels = prune_dij_rq(g, rank, root, st.store, common=st.common)
+                labels = prune_dij_rq(g, rank, root, st.store, common=st.common,
+                                      use_rank_queries=engine == "dgll")
                 explored_window += len(labels)
             st.store.commit([(v, root, d) for v, d in labels])
             new.extend((v, root, d) for v, d in labels)
         st.explored += explored_window
         st.work_s += time.perf_counter() - t0
-        # DGLL: the next superstep's cleaning needs every new label centrally.
-        # PLaNT: only Common-Label-Table hubs leave the node (§5.3), so
-        # with no table labels never leave the generating node.
-        if engine == "dgll":
+        # DGLL: the next superstep's cleaning needs every new label centrally;
+        # DparaPLL: every replica merges them. PLaNT: only Common-Label-Table
+        # hubs leave the node (§5.3), so with no table labels never leave
+        # the generating node.
+        if engine != "plant":
             shipped = new
         else:
             shipped = [(v, h, d) for v, h, d in new if h in top_hubs]
@@ -137,25 +143,27 @@ def construct_fn(get, engine: str, top_hubs: frozenset = frozenset(), keep=None)
     return fn
 
 
-def apply_updates(node_id, st: NodeState, payload):
-    """Drop redundant labels from the owner shard and the common table;
-    install common updates. Returns the node's memory, for the budget check."""
-    doomed = payload["doomed"]  # global (v, hub) set; shards only hold
+def settle(node_id, st: NodeState, updates) -> int:
+    """Apply the previous superstep's ``updates`` (None: there are none):
+    drop its ``doomed`` labels from the owner shard and the common table,
+    install its ``common_updates`` and ``merge`` every other node's new
+    labels into the replica. Returns the node's memory after them, for the
+    budget check."""
+    if updates is None:
+        return st.mem_bytes()
+    doomed = updates.get("doomed", ())  # global (v, hub) set; shards only hold
     if doomed:  # their own hubs, so foreign pairs are no-ops
         st.store.delete(doomed)
     if st.common is not None:
-        for hub, labels in payload["common_updates"]:
+        for hub, labels in updates.get("common_updates", ()):
             st.common.add_hub_labels(hub, labels)
         for v, h in doomed:  # a table row goes with its doomed label
             if h in st.common.row_of:
                 st.common.dist[st.common.row_of[h], v] = INF
-    return st, st.mem_bytes()
-
-
-def settle(apply, node_id, st: NodeState, updates) -> int:
-    """Apply the previous superstep's ``updates`` (None: there are none)
-    with ``apply``; returns the node's memory after them."""
-    return st.mem_bytes() if updates is None else apply(node_id, st, updates)[1]
+    for src, triplets in updates.get("merge", {}).items():
+        if src != node_id:
+            st.store.commit(triplets)
+    return st.mem_bytes()
 
 
 # --------------------------------------------------------------------- #
@@ -166,13 +174,13 @@ def node_cluster(spark: SparkSession | None, g: CSRGraph, rank: np.ndarray, q: i
     """One run's ``(cluster, get)``: q nodes with empty shards (+ a Common
     Label Table over ``top_hubs``) and the broadcast context, both freed
     on exit."""
-    get, free = make_ctx(spark, g, rank)
 
     def init_fn(i):
         common = CommonLabelTable(g.n, np.array(top_hubs)) if top_hubs else None
         return NodeState(store=LabelStore(g.n), common=common)
 
-    cluster = SimCluster(spark, q, init_fn)
+    cluster = SimCluster(spark, q, init_fn)  # rejects q < 1 before the broadcast
+    get, free = make_ctx(spark, g, rank)
     try:
         yield cluster, get
     finally:
@@ -199,7 +207,7 @@ def read_state(st: NodeState, mem: int, kept) -> tuple:
     return st.work_s, mem, st.store.num_labels(), st.explored, kept
 
 
-def read_nodes(cluster, keep, apply, updates, budget_bytes, per_node=None) -> tuple[dict, dict]:
+def read_nodes(cluster, keep, updates, budget_bytes, per_node=None) -> tuple[dict, dict]:
     """A run's one read of its nodes, after it settles the last ``updates``
     and checks the budget on the memory after them: the run's stats from
     the node counters, and ``{node: keep(node, state)}``, what the driver
@@ -208,7 +216,7 @@ def read_nodes(cluster, keep, apply, updates, budget_bytes, per_node=None) -> tu
     then the read takes no Spark job of its own."""
 
     def read(i, st: NodeState):
-        return read_state(st, settle(apply, i, st, updates), keep(i, st))
+        return read_state(st, settle(i, st, updates), keep(i, st))
 
     if per_node is None:
         per_node = cluster.map_states(read)

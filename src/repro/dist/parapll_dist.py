@@ -1,11 +1,12 @@
 """DparaPLL baseline (paper §3/§7): distributed paraPLL.
 
 Roots are statically split across nodes in rank-circular order; every
-node runs SparaPLL (distance queries only, no rank queries) on its queue
-and — unlike DGLL — keeps a *full replica* of all labels: at each of the
-~log₈ n equal-sized synchronisations, every node's new labels are
-broadcast and merged into every replica. That gives the paper's two
-failure modes, which we meter and model:
+node runs SparaPLL (distance queries only, no rank queries) on its queue,
+as ``engine.construct_fn`` with engine ``"parapll"``. Unlike DGLL, every
+node keeps a *full replica* of all labels: at each of the ~log₈ n
+equal-sized synchronisations, every node's new labels are broadcast and
+merged into every replica by the next superstep's ``updates["merge"]``.
+That gives the paper's two failure modes, which we meter and model:
 
 * label-size explosion with q (no rank queries, stale pruning views);
 * per-node memory = the entire labeling → OOM on large graphs.
@@ -18,17 +19,8 @@ import time
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.dijkstra import prune_dij_rq
 from repro.dist.dgll import DistResult
-from repro.dist.engine import (
-    NodeState,
-    check_budget,
-    my_roots,
-    node_cluster,
-    out_of_time,
-    read_nodes,
-    settle,
-)
+from repro.dist.engine import check_budget, construct_fn, node_cluster, out_of_time, read_nodes
 from repro.graphs.csr import CSRGraph
 
 
@@ -51,41 +43,24 @@ def dpara_pll(
     n_syncs = max(1, round(math.log(max(2, n)) / math.log(8)))  # ~log₈ n
     step = max(1, math.ceil(n / n_syncs))  # equal supersteps, unlike DGLL
     with node_cluster(spark, g, rank, q) as (cluster, get):
-
-        def build_fn(node_id, st: NodeState, payload):
-            gr, rk, order = get()
-            mem = settle(merge_fn, node_id, st, payload["merge"])  # the last sync's
-            pos, x = payload["pos"], payload["x"]
-            new = []
-            t_in = time.perf_counter()
-            for gidx, root in my_roots(order, pos, x, q, node_id):
-                labels = prune_dij_rq(gr, rk, root, st.store, use_rank_queries=False)
-                st.store.commit([(v, root, d) for v, d in labels])
-                new.extend((v, root, d) for v, d in labels)
-            st.work_s += time.perf_counter() - t_in
-            return st, (mem, new)
-
-        def merge_fn(node_id, st: NodeState, payload):
-            for src, triplets in payload.items():
-                if src != node_id:
-                    st.store.commit(triplets)
-            return st, st.mem_bytes()
-
+        build = construct_fn(get, "parapll")
         timed_out = False
         pos = 0
-        merge = None  # the last sync's full label exchange, merged by the next superstep
+        updates = None  # the last sync's full label exchange, merged by the next superstep
         while pos < n:
             if out_of_time(t0, deadline_s):
                 timed_out = True
                 break
-            outs = cluster.superstep(build_fn, {"pos": pos, "x": step, "merge": merge})
-            check_budget({i: mem for i, (mem, _) in outs.items()}, budget_bytes)
-            merge = cluster.broadcast(cluster.gather({i: new for i, (_, new) in outs.items()}))
+            outs = cluster.superstep(build, {"windows": [(pos, step)], "q": q, "updates": updates})
+            window = {i: o["windows"][0] for i, o in outs.items()}
+            check_budget({i: w["mem"] for i, w in window.items()}, budget_bytes)
+            new = cluster.gather({i: w["new"] for i, w in window.items()})
+            updates = {"merge": cluster.broadcast(new)}
             pos += step
         # every replica holds the whole labeling after each merge (in append
         # order, which no reader depends on): the driver keeps node 0's
         stats, kept = read_nodes(cluster, lambda i, st: st.store if collect and i == 0 else None,
-                                 merge_fn, merge, budget_bytes)
+                                 updates, budget_bytes)
         labels_total = stats["labels_total"] // q
         stats.update(
             labels_total=labels_total,

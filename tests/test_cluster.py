@@ -14,8 +14,13 @@ from repro.core import parallel
 from repro.core.labels import payload_bytes
 from repro.core.parallel import _FrozenZipImporter, freeze_archives, spark_map
 from repro.dist import cluster as cluster_mod
+from repro.dist import engine
 from repro.dist.cluster import SimCluster
-from repro.dist.engine import apply_updates, construct_fn, node_cluster
+from repro.dist.dgll import dgll
+from repro.dist.engine import construct_fn, node_cluster, settle
+from repro.dist.hybrid import hybrid
+from repro.dist.parapll_dist import dpara_pll
+from repro.dist.plant_dist import plant_dist
 from tests.helpers import graph, rank_of
 
 
@@ -38,6 +43,16 @@ def test_node_id_passed():
     c = SimCluster(None, 4, _counter_init)
     outs = c.superstep(lambda i, st, p: (st, i * 10), None)
     assert outs == {0: 0, 1: 10, 2: 20, 3: 30}
+
+
+@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("run", [dgll, plant_dist, hybrid, dpara_pll])
+def test_drivers_reject_q_below_one(run, q, monkeypatch):
+    """A cluster of no nodes is refused before the run broadcasts its
+    context or runs a superstep."""
+    monkeypatch.setattr(engine, "make_ctx", lambda *a: pytest.fail("context broadcast"))
+    with pytest.raises(ValueError, match="at least one node"):
+        run(None, graph("SKIT"), rank_of("SKIT"), q=q)
 
 
 def test_broadcast_metering():
@@ -167,32 +182,55 @@ def test_spark_outputs_complete_and_equal_to_serial(spark):
         c.free()
 
 
-def test_spark_recomputes_lost_states_from_lineage(spark):
+def _dgll_steps(cluster, get, q):
+    """DGLL supersteps: each cleans the previous window's labels and the
+    last one builds nothing; returns the doomed set the read applies."""
+    build = construct_fn(get, "dgll")
+    pos, updates, clean, doomed_total = 0, None, None, 0
+    for x in (16, 32, 64, 0):
+        plan = [(pos, x)] if x else []
+        outs = cluster.superstep(build, {"windows": plan, "q": q, "updates": updates, "clean": clean})
+        doomed = cluster.allreduce_or({i: o["redundant"] for i, o in outs.items()})
+        updates, doomed_total = {"doomed": doomed, "common_updates": []}, doomed_total + len(doomed)
+        clean = [t for o in outs.values() for w in o["windows"] for t in w["new"]]
+        pos += x
+    assert doomed_total > 0 and clean == []
+    return updates
+
+
+def _parapll_steps(cluster, get, q):
+    """DparaPLL supersteps: each merges the last one's labels into every
+    replica; returns the last merge, which the read applies."""
+    build = construct_fn(get, "parapll")
+    pos, updates = 0, None
+    for x in (16, 32, 64):
+        outs = cluster.superstep(build, {"windows": [(pos, x)], "q": q, "updates": updates})
+        updates = {"merge": {i: o["windows"][0]["new"] for i, o in outs.items()}}
+        pos += x
+    return updates
+
+
+@pytest.mark.parametrize("steps", [_dgll_steps, _parapll_steps], ids=["dgll", "parapll"])
+def test_spark_recomputes_lost_states_from_lineage(spark, steps):
     """Superstep functions mutate node state in place; a node RDD dropped
-    from the cache must still be rebuilt, from lineage, into the same shards.
-    Each DGLL superstep cleans the previous window's labels and the last
-    one builds nothing; the read applies its doomed set."""
+    from the cache must still be rebuilt, from lineage, into the same
+    shards (DGLL) or replicas (DparaPLL). The read settles the last
+    superstep's updates."""
     g, rank, q = graph("CAL"), rank_of("CAL"), 4
     with node_cluster(spark, g, rank, q) as (cluster, get):
-        build = construct_fn(get, "dgll")
-        pos, updates, clean, doomed_total = 0, None, None, 0
-        for x in (16, 32, 64, 0):
-            plan = [(pos, x)] if x else []
-            outs = cluster.superstep(build, {"windows": plan, "q": q, "updates": updates, "clean": clean})
-            doomed = cluster.allreduce_or({i: o["redundant"] for i, o in outs.items()})
-            updates, doomed_total = {"doomed": doomed, "common_updates": []}, doomed_total + len(doomed)
-            clean = [t for o in outs.values() for w in o["windows"] for t in w["new"]]
-            pos += x
+        updates = steps(cluster, get, q)
 
-        def shard(i, st):
-            return apply_updates(i, st, updates)[0].store.triplets()
+        def labels(i, st):
+            settle(i, st, updates)
+            return st.store.triplets()
 
-        before = cluster.map_states(shard)
+        before = cluster.map_states(labels)
         cluster._rdd.unpersist()
         assert not cluster._rdd.is_cached
-        assert cluster.map_states(shard) == before
-    assert doomed_total > 0 and clean == []
+        assert cluster.map_states(labels) == before
     assert sum(len(t) for t in before.values()) > 0
+    if steps is _parapll_steps:  # every replica holds the whole labeling
+        assert len({frozenset(t) for t in before.values()}) == 1
 
 
 # --------------------------------------------------------------------- #

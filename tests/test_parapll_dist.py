@@ -33,9 +33,11 @@ def test_als_explodes_with_q(name):
 
 
 def test_replica_memory_is_total_labels():
-    """Unlike DGLL, every node stores the whole labeling."""
+    """Unlike DGLL, every node stores the whole labeling. Each label is
+    generated once, on one node, and the nodes count what they generate."""
     r = dpara_pll(None, graph("SKIT"), rank_of("SKIT"), q=4)
     assert r.stats["mem_max_node"] == r.stats["labels_total"] * 8
+    assert r.stats["explored_total"] == r.stats["labels_total"]
 
 
 def test_oom():
